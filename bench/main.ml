@@ -14,11 +14,8 @@
    wins, by what factor, and where the curves bend.  The shape checks
    at the end assert exactly that.
 
-   A Bechamel microbenchmark per artifact measures the host-side cost
-   of the simulation machinery itself.
-
    Usage: main.exe [fig2] [fig3] [fig4] [table1] [scalars] [ablations]
-   [micro] (no arguments = everything). *)
+   (no arguments = everything). *)
 
 open Hft_core
 open Hft_harness
@@ -366,108 +363,6 @@ let ablations () =
   shape "ablation: delivery delay grows with epoch length"
     (List.assoc 65536 delays > List.assoc 1024 delays)
 
-(* ---------- Bechamel microbenchmarks ---------- *)
-
-let micro () =
-  Format.printf "@.### Host-side microbenchmarks (Bechamel) ###@.";
-  let open Bechamel in
-  (* one Test.make per paper artifact, measuring the simulation cost
-     of the machinery that artifact exercises *)
-  let fig2_test =
-    Test.make ~name:"fig2-cpu-epochs"
-      (Staged.stage (fun () ->
-           let w = Hft_guest.Workload.dhrystone ~iterations:500 in
-           let sys =
-             System.create
-               ~params:{ Params.default with Params.epoch_length = 512 }
-               ~lockstep:false ~init_disk:false ~workload:w ()
-           in
-           ignore (System.run sys)))
-  in
-  let fig3_test =
-    Test.make ~name:"fig3-io-operation"
-      (Staged.stage (fun () ->
-           let w = Hft_guest.Workload.disk_write ~ops:1 ~pad:20 ~spin:20 () in
-           let sys =
-             System.create
-               ~params:{ Params.default with Params.epoch_length = 512 }
-               ~lockstep:false ~init_disk:false ~workload:w ()
-           in
-           ignore (System.run sys)))
-  in
-  let fig4_test =
-    Test.make ~name:"fig4-link-transfer"
-      (Staged.stage (fun () ->
-           let e = Hft_sim.Engine.create () in
-           let ch =
-             Hft_net.Channel.create ~engine:e ~link:Hft_net.Link.atm
-               ~name:"bench" ()
-           in
-           Hft_net.Channel.connect ch (fun _ -> ());
-           for i = 0 to 9 do
-             Hft_net.Channel.send ch ~bytes:8240 i
-           done;
-           Hft_sim.Engine.run e))
-  in
-  let table1_test =
-    Test.make ~name:"table1-protocol-boundary"
-      (Staged.stage (fun () ->
-           let w = Hft_guest.Workload.dhrystone ~iterations:200 in
-           let sys =
-             System.create
-               ~params:
-                 (Params.with_protocol
-                    { Params.default with Params.epoch_length = 256 }
-                    Params.Revised)
-               ~lockstep:false ~init_disk:false ~workload:w ()
-           in
-           ignore (System.run sys)))
-  in
-  let machine_test =
-    Test.make ~name:"machine-interpreter-1k-instrs"
-      (Staged.stage
-         (let p =
-            Hft_machine.Asm.(
-              assemble
-                [
-                  label "l";
-                  addi r1 r1 1;
-                  mul r2 r1 r1;
-                  xor r3 r3 r2;
-                  jmp (lbl "l");
-                ])
-          in
-          fun () ->
-            let cpu = Hft_machine.Cpu.create ~code:p.Hft_machine.Asm.code () in
-            ignore (Hft_machine.Cpu.run cpu ~fuel:1000)))
-  in
-  let tests =
-    [ fig2_test; fig3_test; fig4_test; table1_test; machine_test ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"hft" ~fmt:"%s/%s" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name v ->
-      let est =
-        match Analyze.OLS.estimates v with
-        | Some [ e ] -> Printf.sprintf "%.0f ns" e
-        | _ -> "n/a"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  Report.table ~title:"host cost per run"
-    ~header:[ "benchmark"; "time/run" ]
-    (List.sort compare !rows)
-
 let print_shape_summary () =
   Format.printf "@.### Shape checks (paper conclusions) ###@.";
   List.iter (fun (label, ok) -> Report.check ~label ok) (List.rev !shape_checks);
@@ -491,5 +386,4 @@ let () =
   if want "table1" then table1 ();
   if want "scalars" then scalars ();
   if want "ablations" then ablations ();
-  if want "micro" then micro ();
   print_shape_summary ()

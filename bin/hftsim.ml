@@ -169,11 +169,11 @@ let trace_out_arg =
 
 (* Shared post-run artifact emission: Chrome trace, metrics JSON,
    span-quantile table, and — whenever a crash was recorded — the
-   failover post-mortem timeline.  [registry] is the windowed
-   aggregation registry tapped into the recorder at creation: its
+   failover post-mortem timeline.  [registry] is the aggregation
+   registry tapped into the recorder at creation: its span quantiles,
    counters and windows go into the hftsim-metrics/2 artifact and,
-   under [--metrics], a windowed-summary table — aggregates survive
-   ring wraparound because the tap saw every event. *)
+   under [--metrics], the span and windowed-summary tables.  All of
+   them survive ring wraparound because the tap saw every event. *)
 let window_rows registry =
   List.filter_map
     (fun (w : Obs.Metrics.window) ->
@@ -199,27 +199,26 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
     let dropped = Obs.Recorder.dropped obs in
     if dropped > 0 then
       Format.printf
-        "warning: ring wraparound discarded %d oldest event(s); spans and \
-         timelines below are incomplete (windowed aggregates are not)@."
+        "warning: ring wraparound discarded %d oldest event(s); the timeline \
+         and post-mortems below are incomplete (quantiles and windowed \
+         aggregates are not)@."
         dropped;
     (match trace_out with
     | Some path ->
       write_file path (Obs.Export.chrome entries);
       Format.printf "trace written  : %s (chrome trace-event JSON)@." path
     | None -> ());
-    let hists =
-      lazy (Obs.Span.histograms (Obs.Span.of_entries entries))
-    in
-    (match metrics_out with
-    | Some path ->
-      write_file path
-        (Obs.Export.metrics_json ?registry ~dropped (Lazy.force hists));
-      Format.printf "metrics written: %s (%s)@." path Obs.Export.metrics_schema
-    | None -> ());
-    if metrics then begin
-      Hft_harness.Report.span_metrics (Lazy.force hists);
-      match registry with
-      | Some reg ->
+    (match registry with
+    | None -> ()
+    | Some reg ->
+      (match metrics_out with
+      | Some path ->
+        write_file path (Obs.Export.metrics_json ~dropped reg);
+        Format.printf "metrics written: %s (%s)@." path
+          Obs.Export.metrics_schema
+      | None -> ());
+      if metrics then begin
+        Hft_harness.Report.span_metrics reg;
         let rows = window_rows reg in
         if rows <> [] then
           Hft_harness.Report.table ~title:"windowed metrics"
@@ -229,8 +228,7 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
                 "acks"; "ack_p99us"; "avail";
               ]
             rows
-      | None -> ()
-    end;
+      end);
     Hft_harness.Report.failover_postmortem entries;
     Hft_harness.Report.recovery_postmortem entries
   end
@@ -293,7 +291,8 @@ let run_cmd =
       & info [ "metrics" ]
           ~doc:
             "Print span-duration quantiles (epoch, ack-wait, intr-delay, \
-             msg-rtt, rtx-chain, failover) after the run.")
+             msg-rtt, rtx-chain, failover, recovery) over every event of \
+             the run, and the windowed metrics, after the run.")
   in
   let metrics_out =
     Arg.(
@@ -540,7 +539,10 @@ let trace_cmd =
         params_of ~epoch ~protocol ~link ~mechanism:Params.Recovery_register
           ()
       in
-      let obs = Obs.Recorder.create ~dispatch () in
+      let registry = Obs.Metrics.create () in
+      let obs =
+        Obs.Recorder.create ~dispatch ~tap:(Obs.Metrics.tap registry) ()
+      in
       let sys = System.create ~params ~obs ~workload () in
       (match crash_ms with
       | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
@@ -579,9 +581,7 @@ let trace_cmd =
           Format.printf "trace written  : %s (%s JSONL)@." path
             Obs.Export.schema
       | None -> ());
-      if metrics && not quiet then
-        Hft_harness.Report.span_metrics
-          (Obs.Span.histograms (Obs.Span.of_entries entries));
+      if metrics && not quiet then Hft_harness.Report.span_metrics registry;
       `Ok ()
   in
   let term =
@@ -1054,21 +1054,6 @@ let workload_of_program ~name program =
     instructions_per_iteration = 70;
   }
 
-(* The manifest the hypervisor arms for this parameter set — computed
-   with the same analysis knobs as [Hypervisor.arm_manifest_validator],
-   so the positional WCET-slack join ({!Hft_analysis.Slack.of_cpu})
-   lines up with the validator's arming order. *)
-let armed_manifest ~params (workload : Hft_guest.Workload.t) =
-  let program = workload.Hft_guest.Workload.program in
-  Hft_analysis.Manifest.of_code_cached
-    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-    ~random_tlb:
-      (match params.Params.cpu_config.Hft_machine.Cpu.tlb_policy with
-      | Hft_machine.Tlb.Random _ -> true
-      | Hft_machine.Tlb.Round_robin -> false)
-    ~mmio_base:params.Params.cpu_config.Hft_machine.Cpu.mmio_base
-    ~code_refs:program.Hft_machine.Asm.code_refs program.Hft_machine.Asm.code
-
 (* Run a workload to completion on the bare machine, optionally with
    the retirement profiler armed.  Returns the CPU (for its profile
    and observed-bounds arrays) and whether the guest halted within the
@@ -1108,6 +1093,18 @@ let symbolizer (workload : Hft_guest.Workload.t) =
     (Hft_analysis.Symtab.of_program workload.Hft_guest.Workload.program)
 
 (* ---------- lint ---------- *)
+
+(* [--image FILE] is loaded before anything runs: a truncated or
+   unreadable image is a command-line error (exit 124, like a bad
+   [trace --validate] input), not an uncaught exception. *)
+let with_image image k =
+  match image with
+  | None -> k None
+  | Some path -> (
+    match Hft_machine.Image.load_with_manifest ~path with
+    | loaded -> k (Some (path, loaded))
+    | exception (Hft_machine.Image.Format_error m | Sys_error m) ->
+      `Error (false, Printf.sprintf "%s: %s" path m))
 
 let lint_cmd =
   let all_names =
@@ -1469,6 +1466,7 @@ let lint_cmd =
   in
   let action workload all image rewrite_el rewritten strict json sarif
       manifest manifest_out manifest_baseline =
+    with_image image @@ fun image ->
     let quiet = json = Some "-" || sarif = Some "-" in
     let runs =
       if all then
@@ -1496,10 +1494,7 @@ let lint_cmd =
           all_names
       else
         match image with
-        | Some path ->
-          let program, embedded =
-            Hft_machine.Image.load_with_manifest ~path
-          in
+        | Some (path, (program, embedded)) ->
           [
             lint_one ~quiet ~title:path ~rewritten ~rewrite_el ~data_init:[]
               ?embedded
@@ -1549,7 +1544,8 @@ let lint_cmd =
             let params = Params.default in
             let cpu, _halted = driven_bare ~params ~limit:10_000_000 w in
             match
-              Hft_analysis.Slack.of_cpu (armed_manifest ~params w)
+              Hft_analysis.Slack.of_cpu
+                (Hypervisor.manifest ~params ~workload:w)
                 ~symbol:(symbolizer w) cpu
             with
             | Some slack -> Hft_harness.Report.wcet_slack slack
@@ -2229,10 +2225,10 @@ let profile_cmd =
           ~doc:"Instruction fuel per backend run.")
   in
   let action workload image flame min_coverage limit =
+    with_image image @@ fun image ->
     let workload =
       match image with
-      | Some path ->
-        let program, _embedded = Hft_machine.Image.load_with_manifest ~path in
+      | Some (path, (program, _embedded)) ->
         workload_of_program ~name:(Filename.basename path) program
       | None -> workload
     in
@@ -2251,7 +2247,7 @@ let profile_cmd =
          partial run (backend agreement not checked)@."
         limit;
     let params = Params.default in
-    let m = armed_manifest ~params workload in
+    let m = Hypervisor.manifest ~params ~workload in
     let symbol = symbolizer workload in
     let counts cpu =
       match Hft_machine.Cpu.profile cpu with Some p -> p | None -> [||]

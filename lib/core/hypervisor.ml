@@ -5,7 +5,17 @@ module Channel = Hft_net.Channel
 module Layout = Hft_guest.Layout
 module Ev = Hft_obs.Event
 
+(* Instruction fuel for one VM slice: run up to the next scheduled
+   event (so an interrupt lands at the right instruction boundary), at
+   least one instruction and at most [max_burst]. *)
 let max_burst = 2_000_000
+
+let slice_fuel engine ~instr_time =
+  match Engine.next_time engine with
+  | Some next ->
+    let gap = Time.to_ns (Time.diff next (Engine.now engine)) in
+    max 1 (min (gap / Time.to_ns instr_time) max_burst)
+  | None -> max_burst
 
 type role = Primary | Backup | Promoted
 
@@ -224,25 +234,28 @@ let vm_state_hash t =
   Array.iter (fun v -> h := (!h lxor v) * fnv_prime land fnv_mask) t.vcrs;
   !h
 
+(* The compilation manifest for a workload's image under [params]: the
+   one both arming functions below install, and the one the CLI joins
+   profiles and WCET slack against. *)
+let manifest ~params ~workload =
+  let program = workload.Hft_guest.Workload.program in
+  Hft_analysis.Manifest.of_code_cached
+    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
+    ~random_tlb:
+      (match params.Params.cpu_config.Cpu.tlb_policy with
+      | Tlb.Random _ -> true
+      | Tlb.Round_robin -> false)
+    ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
+    ~code_refs:program.Asm.code_refs program.Asm.code
+
 (* Analyze the guest image and arm the interpreter's runtime
    certificate validator with the resulting manifest, so every run
    differentially tests the static certificates against execution.
    [deprivileged] maps Priv0 through section 3.1's deprivileging. *)
 let arm_manifest_validator ~params ~workload ~deprivileged cpu =
-  if params.Params.validate_manifest then begin
-    let program = workload.Hft_guest.Workload.program in
-    let m =
-      Hft_analysis.Manifest.of_code_cached
-        ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-        ~random_tlb:
-          (match params.Params.cpu_config.Cpu.tlb_policy with
-          | Tlb.Random _ -> true
-          | Tlb.Round_robin -> false)
-        ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
-        ~code_refs:program.Asm.code_refs program.Asm.code
-    in
-    Hft_analysis.Manifest.install m ~deprivileged cpu
-  end
+  if params.Params.validate_manifest then
+    Hft_analysis.Manifest.install (manifest ~params ~workload) ~deprivileged
+      cpu
 
 (* Under the [Threaded] (or [Differential], which maps to [Threaded]
    on one replica) backend, additionally compile the manifest's
@@ -253,17 +266,7 @@ let arm_translation ~params ~workload ~deprivileged cpu =
   match params.Params.exec_backend with
   | Params.Interp -> ()
   | Params.Threaded | Params.Differential ->
-    let program = workload.Hft_guest.Workload.program in
-    let m =
-      Hft_analysis.Manifest.of_code_cached
-        ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
-        ~random_tlb:
-          (match params.Params.cpu_config.Cpu.tlb_policy with
-          | Tlb.Random _ -> true
-          | Tlb.Round_robin -> false)
-        ~mmio_base:params.Params.cpu_config.Cpu.mmio_base
-        ~code_refs:program.Asm.code_refs program.Asm.code
-    in
+    let m = manifest ~params ~workload in
     (match Hft_analysis.Manifest.install_translation m ~deprivileged cpu with
     | Ok _ -> ()
     | Error _ -> () (* stale manifest: full interpreter fallback *))
@@ -632,14 +635,7 @@ and continue_vm t =
     else
       match t.blocked with
       | Not_blocked ->
-        let fuel =
-          match Engine.next_time t.engine with
-          | Some next ->
-            let gap = Time.to_ns (Time.diff next (Engine.now t.engine)) in
-            let n = gap / Time.to_ns t.p.Params.instr_time in
-            max 1 (min n max_burst)
-          | None -> max_burst
-        in
+        let fuel = slice_fuel t.engine ~instr_time:t.p.Params.instr_time in
         let res = Cpu.run t.vm ~fuel in
         t.st.Stats.instructions <-
           t.st.Stats.instructions + res.Cpu.executed;

@@ -40,6 +40,18 @@ type role = Primary | Backup | Promoted
 
 type t
 
+val slice_fuel : Hft_sim.Engine.t -> instr_time:Hft_sim.Time.t -> int
+(** Instruction fuel for one guest slice, shared by the hypervisor and
+    {!Bare}: the gap to the engine's next scheduled event divided by
+    [instr_time], clamped to [[1, 2_000_000]]. *)
+
+val manifest :
+  params:Params.t -> workload:Hft_guest.Workload.t -> Hft_analysis.Manifest.t
+(** The compilation manifest of the workload's (possibly rewritten)
+    image under [params]' analysis knobs (epoch mechanism, TLB policy,
+    MMIO base), via {!Hft_analysis.Manifest.of_code_cached}.  Both
+    arming functions below install exactly this manifest. *)
+
 val arm_manifest_validator :
   params:Params.t ->
   workload:Hft_guest.Workload.t ->

@@ -49,7 +49,7 @@ let record_boundary ls ~epoch ~hash =
     end
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
-    ?(lockstep = true) ?(init_disk = true) ?(second_backup = false) ?trace
+    ?(lockstep = true) ?(init_disk = true) ?(second_backup = false)
     ?(obs = Hft_obs.Recorder.null) ~workload () =
   let workload =
     match params.Params.epoch_mechanism with
@@ -62,7 +62,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
             workload.Hft_guest.Workload.program;
       }
   in
-  let engine = Engine.create ?trace () in
+  let engine = Engine.create () in
   (* scheduler dispatches are high-volume; only feed them to the
      recorder when it asked for them, or they would evict the protocol
      events from the ring *)

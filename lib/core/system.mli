@@ -22,7 +22,6 @@ val create :
   ?lockstep:bool ->
   ?init_disk:bool ->
   ?second_backup:bool ->
-  ?trace:Hft_sim.Trace.t ->
   ?obs:Hft_obs.Recorder.t ->
   workload:Hft_guest.Workload.t ->
   unit ->

@@ -56,22 +56,19 @@ let channel_hardening ?(out = std) stats =
     (sum (fun s -> s.Hft_core.Stats.duplicates_dropped))
     (sum (fun s -> s.Hft_core.Stats.corruptions_detected))
 
-let span_metrics ?(out = std) hists =
+let span_metrics ?(out = std) registry =
   let rows =
-    List.filter_map
+    List.map
       (fun (cat, h) ->
-        if Hft_obs.Hist.count h = 0 then None
-        else
-          Some
-            [
-              cat;
-              string_of_int (Hft_obs.Hist.count h);
-              fnum (Hft_obs.Hist.p50_us h);
-              fnum (Hft_obs.Hist.p95_us h);
-              fnum (Hft_obs.Hist.p99_us h);
-              fnum (Hft_obs.Hist.max_us h);
-            ])
-      hists
+        [
+          cat;
+          string_of_int (Hft_obs.Hist.count h);
+          fnum (Hft_obs.Hist.p50_us h);
+          fnum (Hft_obs.Hist.p95_us h);
+          fnum (Hft_obs.Hist.p99_us h);
+          fnum (Hft_obs.Hist.max_us h);
+        ])
+      (Hft_obs.Metrics.span_hists registry)
   in
   if rows <> [] then
     table ~out ~title:"span metrics (us)"

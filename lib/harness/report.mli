@@ -42,12 +42,11 @@ val channel_hardening :
     per-hypervisor stats — shown alongside the section-4 numbers in
     [hftsim] output. *)
 
-val span_metrics :
-  ?out:Format.formatter -> (string * Hft_obs.Hist.t) list -> unit
-(** Aligned table of span-duration histograms (one row per category:
-    count, p50/p95/p99/max in microseconds), as produced by
-    {!Hft_obs.Span.histograms}.  Empty histograms are skipped; prints
-    nothing when no category has a closed span. *)
+val span_metrics : ?out:Format.formatter -> Hft_obs.Metrics.t -> unit
+(** Aligned table of the registry's span-duration histograms
+    ({!Hft_obs.Metrics.span_hists}; one row per category: count,
+    p50/p95/p99/max in microseconds).  Prints nothing when no category
+    has a closed span. *)
 
 val failover_postmortem :
   ?out:Format.formatter -> Hft_obs.Recorder.entry list -> unit

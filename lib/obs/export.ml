@@ -180,7 +180,11 @@ let metrics_schema = "hftsim-metrics/2"
 
 let jsonl ?(dropped = 0) entries =
   let spans = Span.of_entries entries in
-  let hists = Span.histograms spans in
+  let hists =
+    let m = Metrics.create () in
+    List.iter (Metrics.observe m) entries;
+    Metrics.span_hists m
+  in
   let b = Buffer.create (1 lsl 16) in
   Printf.bprintf b
     "{\"schema\":\"%s\",\"kind\":\"header\",\"events\":%d,\"spans\":%d,\"hists\":%d,\"dropped\":%d}\n"
@@ -225,7 +229,7 @@ let jsonl ?(dropped = 0) entries =
    top-level members keep working; /2 adds "counters", "gauges",
    "windows" (the rolling aggregation) and "dropped_events". *)
 
-let metrics_json ?registry ?(dropped = 0) hists =
+let metrics_json ?(dropped = 0) m =
   let b = Buffer.create 4096 in
   Printf.bprintf b
     "{\"schema\":\"%s\",\n\
@@ -248,47 +252,38 @@ let metrics_json ?registry ?(dropped = 0) hists =
           Printf.bprintf b "[%d,%d]" lo n)
         (Hist.nonzero_buckets h);
       Buffer.add_string b "]}")
-    hists;
+    (Metrics.span_hists m);
   Buffer.add_string b "\n],\n\"counters\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (c : Metrics.counter) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
-          (Json.escape c.Metrics.c_actor)
-          (Json.escape c.Metrics.c_name)
-          c.Metrics.c_val)
-      (Metrics.counters m));
+  List.iteri
+    (fun i (c : Metrics.counter) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
+        (Json.escape c.Metrics.c_actor)
+        (Json.escape c.Metrics.c_name)
+        c.Metrics.c_val)
+    (Metrics.counters m);
   Buffer.add_string b "\n],\n\"gauges\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (g : Metrics.gauge) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
-          (Json.escape g.Metrics.g_actor)
-          (Json.escape g.Metrics.g_name)
-          g.Metrics.g_val)
-      (Metrics.gauges m));
+  List.iteri
+    (fun i (g : Metrics.gauge) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "\n{\"actor\":\"%s\",\"name\":\"%s\",\"value\":%d}"
+        (Json.escape g.Metrics.g_actor)
+        (Json.escape g.Metrics.g_name)
+        g.Metrics.g_val)
+    (Metrics.gauges m);
   Buffer.add_string b "\n],\n\"windows\":[";
-  (match registry with
-  | None -> ()
-  | Some m ->
-    List.iteri
-      (fun i (w : Metrics.window) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b
-          "\n{\"t0_ns\":%d,\"len_ns\":%d,\"epochs\":%d,\"epoch_p50_us\":%.3f,\"epoch_p99_us\":%.3f,\"ack_count\":%d,\"ack_p99_us\":%.3f,\"availability\":%.4f}"
-          w.Metrics.w_t0_ns w.Metrics.w_len_ns w.Metrics.w_epochs
-          (Hist.p50_us w.Metrics.w_epoch)
-          (Hist.p99_us w.Metrics.w_epoch)
-          (Hist.count w.Metrics.w_ack)
-          (Hist.p99_us w.Metrics.w_ack)
-          (Metrics.availability w))
-      (Metrics.windows m));
+  List.iteri
+    (fun i (w : Metrics.window) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b
+        "\n{\"t0_ns\":%d,\"len_ns\":%d,\"epochs\":%d,\"epoch_p50_us\":%.3f,\"epoch_p99_us\":%.3f,\"ack_count\":%d,\"ack_p99_us\":%.3f,\"availability\":%.4f}"
+        w.Metrics.w_t0_ns w.Metrics.w_len_ns w.Metrics.w_epochs
+        (Hist.p50_us w.Metrics.w_epoch)
+        (Hist.p99_us w.Metrics.w_epoch)
+        (Hist.count w.Metrics.w_ack)
+        (Hist.p99_us w.Metrics.w_ack)
+        (Metrics.availability w))
+    (Metrics.windows m);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 

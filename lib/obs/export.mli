@@ -11,7 +11,8 @@
     - [hftsim-trace/1] JSONL ({!jsonl}): a header line, then one JSON
       object per line — every event ([kind:"event"]), every
       reconstructed span ([kind:"span"], [t1_ns] null when unclosed)
-      and one [kind:"hist"] summary per span category.
+      and one [kind:"hist"] summary per span category (the entries
+      folded through a fresh {!Metrics} registry).
 
     {!validate} checks either format structurally without any external
     JSON dependency — the CI schema gate runs it via
@@ -33,11 +34,10 @@ val jsonl : ?dropped:int -> Recorder.entry list -> string
 (** [dropped] (default 0, pass {!Recorder.dropped}) records in the
     header how many events the ring discarded before export. *)
 
-val metrics_json :
-  ?registry:Metrics.t -> ?dropped:int -> (string * Hist.t) list -> string
-(** [hftsim-metrics/2]: per-category quantiles plus the raw
-    log-bucket counts; with [registry], also its counters, gauges and
-    rolling windows. *)
+val metrics_json : ?dropped:int -> Metrics.t -> string
+(** [hftsim-metrics/2] for a registry: its per-category span quantiles
+    ({!Metrics.span_hists}) with the raw log-bucket counts, its
+    counters, gauges and rolling windows. *)
 
 type summary = {
   format : [ `Chrome | `Jsonl | `Metrics ];

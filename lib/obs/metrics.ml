@@ -5,9 +5,10 @@ open Hft_sim
    — labeled counters and gauges behind per-actor scopes, streaming
    histograms, and a bounded list of rolling time windows — so a run
    of any length produces bounded-size output even after the ring has
-   wrapped.  The hot paths (counter bumps, histogram adds, window
-   accumulation) allocate nothing; allocation happens only at
-   registration time and when a window closes. *)
+   wrapped.  Span durations come from the shared {!Span} pairer.  The
+   hot paths (counter bumps, histogram adds, window accumulation)
+   allocate nothing beyond the pairer's open slots; other allocation
+   happens only at registration time and when a window closes. *)
 
 type counter = {
   c_actor : string;
@@ -41,13 +42,10 @@ type t = {
   mutable cur_end_ns : int;
   counters : (string * string, counter) Hashtbl.t;
   gauges : (string * string, gauge) Hashtbl.t;
-  hists : (string * string, Hist.t) Hashtbl.t;
-  (* cumulative run-length histograms, window width independent *)
-  epoch_hist : Hist.t;
-  ack_hist : Hist.t;
-  (* open-interval pairing state *)
-  epoch_open : (string, int) Hashtbl.t;  (** source -> begin ns *)
-  ack_open : (string, int) Hashtbl.t;
+  spans : Span.pairer;
+  (* cumulative closed-span durations per category, window width
+     independent *)
+  span_hists : (string * Hist.t) list;
   mutable primary : string;
   mutable down_since : int option;
 }
@@ -66,11 +64,8 @@ let create ?(window_ns = 10_000_000) ?(max_windows = 64) () =
     cur_end_ns = 0;
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
-    hists = Hashtbl.create 8;
-    epoch_hist = Hist.create ();
-    ack_hist = Hist.create ();
-    epoch_open = Hashtbl.create 4;
-    ack_open = Hashtbl.create 4;
+    spans = Span.pairer ();
+    span_hists = List.map (fun c -> (c, Hist.create ())) Span.categories;
     primary = "primary";
     down_since = None;
   }
@@ -97,15 +92,6 @@ let gauge s name =
     Hashtbl.replace s.s_reg.gauges key g;
     g
 
-let hist s name =
-  let key = (s.s_actor, name) in
-  match Hashtbl.find_opt s.s_reg.hists key with
-  | Some h -> h
-  | None ->
-    let h = Hist.create () in
-    Hashtbl.replace s.s_reg.hists key h;
-    h
-
 let incr c = c.c_val <- c.c_val + 1
 let add c n = c.c_val <- c.c_val + n
 let value c = c.c_val
@@ -121,10 +107,6 @@ let gauges t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.gauges []
   |> List.sort (fun a b ->
          compare (a.g_actor, a.g_name) (b.g_actor, b.g_name))
-
-let scoped_hists t =
-  Hashtbl.fold (fun (a, n) h acc -> (a, n, h) :: acc) t.hists []
-  |> List.sort (fun (a, n, _) (b, m, _) -> compare (a, n) (b, m))
 
 (* ---------- rolling windows ---------- *)
 
@@ -223,32 +205,30 @@ let mark_up t now =
     w.w_down_ns <- w.w_down_ns + (now - max since w.w_t0_ns);
     t.down_since <- None
 
+(* A span closed: its duration joins the category's cumulative
+   histogram and, for epochs and ack-waits, the current window's. *)
+let rec hist_of cat = function
+  | (c, h) :: rest -> if String.equal c cat then h else hist_of cat rest
+  | [] -> invalid_arg "Metrics: unknown span category"
+
+let span_closed t ~cat ~source:_ ~t0 ~t1 ~opener:_ ~closer:_ =
+  let d = Time.of_ns (max 0 (Time.to_ns t1 - Time.to_ns t0)) in
+  Hist.add (hist_of cat t.span_hists) d;
+  match (cat, t.cur) with
+  | "epoch", Some w ->
+    Hist.add w.w_epoch d;
+    w.w_epochs <- w.w_epochs + 1
+  | "ack-wait", Some w -> Hist.add w.w_ack d
+  | _ -> ()
+
 let observe t (e : Recorder.entry) =
   let now = Time.to_ns e.Recorder.time in
-  let w = roll t now in
+  ignore (roll t now);
+  Span.feed t.spans e span_closed t;
   let sc = scope t e.Recorder.source in
   match e.Recorder.ev with
-  | Event.Epoch_begin _ -> Hashtbl.replace t.epoch_open e.Recorder.source now
-  | Event.Epoch_end _ -> (
-    incr (counter sc "epochs");
-    match Hashtbl.find_opt t.epoch_open e.Recorder.source with
-    | Some t0 ->
-      Hashtbl.remove t.epoch_open e.Recorder.source;
-      let d = Time.of_ns (if now > t0 then now - t0 else 0) in
-      Hist.add w.w_epoch d;
-      Hist.add t.epoch_hist d;
-      w.w_epochs <- w.w_epochs + 1
-    | None -> ())
-  | Event.Ack_wait_begin _ -> Hashtbl.replace t.ack_open e.Recorder.source now
-  | Event.Ack_wait_end _ -> (
-    incr (counter sc "ack_waits");
-    match Hashtbl.find_opt t.ack_open e.Recorder.source with
-    | Some t0 ->
-      Hashtbl.remove t.ack_open e.Recorder.source;
-      let d = Time.of_ns (if now > t0 then now - t0 else 0) in
-      Hist.add w.w_ack d;
-      Hist.add t.ack_hist d
-    | None -> ())
+  | Event.Epoch_end _ -> incr (counter sc "epochs")
+  | Event.Ack_wait_end _ -> incr (counter sc "ack_waits")
   | Event.Msg_send _ -> incr (counter sc "msgs_sent")
   | Event.Msg_acked _ -> incr (counter sc "msgs_acked")
   | Event.Rtx_round _ -> incr (counter sc "rtx_rounds")
@@ -273,6 +253,7 @@ let observe t (e : Recorder.entry) =
     incr (counter sc "microreboots");
     if e.Recorder.source = t.primary then mark_up t now
   | Event.Recovery_escalated _ -> incr (counter sc "recovery_escalations")
+  | Event.Epoch_begin _ | Event.Ack_wait_begin _
   | Event.Ch_send _ | Event.Ch_deliver _ | Event.Ch_drop _
   | Event.Dispatch _ | Event.Note _ | Event.Halt _
   | Event.Detector_fired _ | Event.Failover_followed _
@@ -285,8 +266,9 @@ let tap t = observe t
 
 (* ---------- derived summaries ---------- *)
 
-let epoch_hist t = t.epoch_hist
-let ack_hist t = t.ack_hist
+let span_hists t =
+  List.filter (fun (_, h) -> Hist.count h > 0) t.span_hists
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let availability w =
   if w.w_len_ns <= 0 then 1.0

@@ -8,8 +8,9 @@
 
     - labeled {b counters} and {b gauges} behind per-actor {!scope}s —
       registration allocates, every subsequent bump is a field write;
-    - streaming {!Hist} histograms (cumulative epoch latency and
-      ack-wait stalls);
+    - one cumulative streaming {!Hist} per {!Span.categories} entry,
+      fed by the shared {!Span} pairer — the only source of the span
+      quantiles the CLI prints and exports;
     - {b rolling time windows} over simulated time, each carrying the
       windowed epoch-latency and ack-wait histograms (p50/p99), the
       epoch count, and the availability fraction (share of the window
@@ -53,7 +54,6 @@ val counter : scope -> string -> counter
     register once and bump the handle allocation-free. *)
 
 val gauge : scope -> string -> gauge
-val hist : scope -> string -> Hist.t
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -65,13 +65,13 @@ val counters : t -> counter list
 (** Sorted by (actor, name). *)
 
 val gauges : t -> gauge list
-val scoped_hists : t -> (string * string * Hist.t) list
 
 (** {2 Event tap} *)
 
 val observe : t -> Recorder.entry -> unit
-(** Fold one event into the registry.  Epoch and ack-wait begin/end
-    pairs close into the windowed histograms; crash/promotion and
+(** Fold one event into the registry.  The {!Span} pairer closes
+    begin/end pairs into the per-category histograms (epoch and
+    ack-wait also into the current window's); crash/promotion and
     hypervisor fault/microreboot events open and close downtime for
     the availability fraction; most other events bump a per-actor
     counter. *)
@@ -97,10 +97,9 @@ val windows : t -> window list
 val availability : window -> float
 (** [1 - down/len], clamped to [0,1]. *)
 
-val epoch_hist : t -> Hist.t
-(** Cumulative (all-windows) epoch-latency histogram. *)
-
-val ack_hist : t -> Hist.t
+val span_hists : t -> (string * Hist.t) list
+(** Cumulative (all-windows) closed-span durations, one histogram per
+    category with at least one sample, sorted by category name. *)
 
 (** {2 Accessors used by exporters} *)
 

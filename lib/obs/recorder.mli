@@ -1,10 +1,8 @@
 (** Bounded ring of typed protocol events.
 
-    The structured sibling of {!Hft_sim.Trace}: same ring semantics
-    (once [capacity] entries have been recorded the oldest are
-    discarded), but entries carry an {!Event.t} instead of a formatted
-    string, so spans, histograms and exporters can consume them
-    without parsing. *)
+    Once [capacity] entries have been recorded the oldest are
+    discarded.  Entries carry an {!Event.t}, not a formatted string,
+    so spans, metrics and exporters consume them without parsing. *)
 
 type entry = { time : Hft_sim.Time.t; source : string; ev : Event.t }
 

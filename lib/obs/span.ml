@@ -19,117 +19,149 @@ let categories =
     "recovery";
   ]
 
-(* One forward pass over the (time-ordered) entries.  Begin events
-   open a keyed slot; the matching end event closes it.  A re-begin on
-   an open key (possible only across a reintegration, where the
-   revived node restarts an epoch number it had crashed inside)
-   abandons the earlier open; unmatched ends (an interrupt carried to
-   the peer inside a snapshot) are ignored. *)
+(* The one begin/end pairing implementation, shared by the timeline
+   export ({!of_entries}) and the streaming registry ({!Metrics}).
+   Begin events open a slot keyed by (category, source, key) holding
+   the start time and the opening event; the matching end event closes
+   it.  A re-begin on an open key (possible only across a
+   reintegration, where the revived node restarts an epoch number it
+   had crashed inside) abandons the earlier open; unmatched ends (an
+   interrupt carried to the peer inside a snapshot) are ignored.
+   Nothing here formats a label: [label] renders one from the slot's
+   events only when a span is materialized.  Categories are indexes
+   into [names]. *)
+let names = Array.of_list categories
+
+let epoch = 0
+and ack_wait = 1
+and intr_delay = 2
+and msg_rtt = 3
+and rtx_chain = 4
+and failover = 5
+and recovery = 6
+
+module Slots = Hashtbl.Make (struct
+  type t = int * string * int
+
+  (* [String.equal] is a pointer test for an emitter's own name *)
+  let equal ((c : int), s, (k : int)) (c', s', k') =
+    k = k' && c = c' && String.equal s s'
+
+  (* a handful of sources ever; keys are small integers *)
+  let hash (c, s, k) = (((k * 8) + c) * 0x9e3779b1) lxor String.length s
+end)
+
+type pairer = {
+  opens : (Time.t * Event.t) Slots.t;
+  (* recovery: nodes whose microreboot completed; their next epoch end
+     closes the recovery span *)
+  mutable rebooted : string list;
+  (* failover: newest crash per node, newest first, and the promoted
+     node awaiting its first I/O *)
+  mutable crashes : (string * Time.t) list;
+  mutable promoted_src : string option;
+}
+
+let pairer () =
+  { opens = Slots.create 64; rebooted = []; crashes = []; promoted_src = None }
+
+let label ~opener ~closer =
+  match (opener, closer) with
+  | Event.Epoch_begin { epoch }, _ -> Printf.sprintf "epoch %d" epoch
+  | Event.Hv_detected _, Some (Event.Recovery_escalated _) ->
+    "recovery (escalated)"
+  | Event.Hv_detected { by }, _ -> Printf.sprintf "recovery (%s)" by
+  | Event.Ack_wait_begin { at_io; _ }, _ ->
+    if at_io then "ack-wait (io)" else "ack-wait (boundary)"
+  | Event.Intr_buffered { id; kind; _ }, _ ->
+    Printf.sprintf "%s intr #%d" kind id
+  | Event.Msg_send { dseq; kind; _ }, _ -> Printf.sprintf "%s dseq %d" kind dseq
+  | Event.Rtx_round { round; _ }, Some _ -> Printf.sprintf "rtx x%d" round
+  | Event.Rtx_round _, None -> "rtx"
+  | _ -> "crash to first I/O" (* Promoted *)
+
+let open_slot p (e : Recorder.entry) cat key t0 =
+  Slots.replace p.opens (cat, e.source, key) (t0, e.ev)
+
+let close_slot p (e : Recorder.entry) cat key on_close ctx =
+  let k = (cat, e.source, key) in
+  match Slots.find_opt p.opens k with
+  | None -> ()
+  | Some (t0, opener) ->
+    Slots.remove p.opens k;
+    on_close ctx ~cat:names.(cat) ~source:e.source ~t0 ~t1:e.time ~opener
+      ~closer:e.ev
+
+let feed p ({ Recorder.time; source; ev } as e) on_close ctx =
+  match ev with
+  | Event.Epoch_begin { epoch = n } -> open_slot p e epoch n time
+  | Event.Epoch_end { epoch = n; _ } ->
+    close_slot p e epoch n on_close ctx;
+    if List.mem source p.rebooted then begin
+      p.rebooted <- List.filter (( <> ) source) p.rebooted;
+      close_slot p e recovery 0 on_close ctx
+    end
+  | Event.Hv_detected _ -> open_slot p e recovery 0 time
+  | Event.Microreboot_done _ ->
+    if not (List.mem source p.rebooted) then
+      p.rebooted <- source :: p.rebooted
+  | Event.Recovery_escalated _ ->
+    p.rebooted <- List.filter (( <> ) source) p.rebooted;
+    close_slot p e recovery 0 on_close ctx
+  | Event.Ack_wait_begin _ -> open_slot p e ack_wait 0 time
+  | Event.Ack_wait_end _ -> close_slot p e ack_wait 0 on_close ctx
+  | Event.Intr_buffered { id; _ } -> open_slot p e intr_delay id time
+  | Event.Intr_delivered { id; _ } ->
+    close_slot p e intr_delay id on_close ctx
+  | Event.Msg_send { dseq; _ } -> open_slot p e msg_rtt dseq time
+  | Event.Msg_acked { dseq } ->
+    close_slot p e msg_rtt dseq on_close ctx;
+    close_slot p e rtx_chain 0 on_close ctx
+  | Event.Rtx_round _ -> (
+    (* a chain opens at its first round; later rounds keep the start
+       time and become the opener, so the label counts them *)
+    match Slots.find_opt p.opens (rtx_chain, source, 0) with
+    | Some (t0, _) -> open_slot p e rtx_chain 0 t0
+    | None -> open_slot p e rtx_chain 0 time)
+  | Event.Rtx_give_up _ -> close_slot p e rtx_chain 0 on_close ctx
+  | Event.Crash ->
+    p.crashes <-
+      (source, time) :: List.filter (fun (s, _) -> s <> source) p.crashes
+  | Event.Promoted _ ->
+    p.promoted_src <- Some source;
+    (* measured from the most recent crash of another node; a
+       promotion with no observed crash (pure detector false positive)
+       starts at the promotion itself *)
+    open_slot p e failover 0
+      (match List.find_opt (fun (s, _) -> s <> source) p.crashes with
+      | Some (_, tc) -> tc
+      | None -> time)
+  | Event.Io_submit _ ->
+    if p.promoted_src = Some source then begin
+      close_slot p e failover 0 on_close ctx;
+      p.promoted_src <- None
+    end
+  | _ -> ()
+
+let collect spans ~cat ~source ~t0 ~t1 ~opener ~closer =
+  let label = label ~opener ~closer:(Some closer) in
+  spans := { cat; source; label; t0; t1 = Some t1 } :: !spans
+
 let of_entries entries =
+  let p = pairer () in
   let spans = ref [] in
-  let opens : (string * string * int, Time.t * string) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let open_ ~cat ~source ~key ~label time =
-    Hashtbl.replace opens (cat, source, key) (time, label)
-  in
-  let close_ ?label ~cat ~source ~key time =
-    match Hashtbl.find_opt opens (cat, source, key) with
-    | None -> ()
-    | Some (t0, lbl) ->
-      Hashtbl.remove opens (cat, source, key);
-      let label = match label with Some l -> l | None -> lbl in
-      spans := { cat; source; label; t0; t1 = Some time } :: !spans
-  in
-  (* rtx chains: rounds seen since the chain opened, per source *)
-  let rtx_rounds : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let close_rtx ~source time =
-    match Hashtbl.find_opt rtx_rounds source with
-    | None -> ()
-    | Some rounds ->
-      Hashtbl.remove rtx_rounds source;
-      close_ ~cat:"rtx-chain" ~source ~key:0
-        ~label:(Printf.sprintf "rtx x%d" rounds)
-        time
-  in
-  (* failover: crash on one node, promotion on another, first I/O
-     submitted by the promoted node *)
-  let crashes = ref [] (* (source, time), newest first *) in
-  let promoted_src = ref None in
-  (* recovery: detection opens the span; it runs through the reboot to
-     the first epoch the recovered node completes afterwards *)
-  let rebooted : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun { Recorder.time; source; ev } ->
-      match ev with
-      | Event.Epoch_begin { epoch } ->
-        open_ ~cat:"epoch" ~source ~key:epoch
-          ~label:(Printf.sprintf "epoch %d" epoch)
-          time
-      | Event.Epoch_end { epoch; _ } ->
-        close_ ~cat:"epoch" ~source ~key:epoch time;
-        if Hashtbl.mem rebooted source then begin
-          Hashtbl.remove rebooted source;
-          close_ ~cat:"recovery" ~source ~key:0 time
-        end
-      | Event.Hv_detected { by } ->
-        open_ ~cat:"recovery" ~source ~key:0
-          ~label:(Printf.sprintf "recovery (%s)" by)
-          time
-      | Event.Microreboot_done _ -> Hashtbl.replace rebooted source ()
-      | Event.Recovery_escalated _ ->
-        Hashtbl.remove rebooted source;
-        close_ ~label:"recovery (escalated)" ~cat:"recovery" ~source ~key:0
-          time
-      | Event.Ack_wait_begin { at_io; _ } ->
-        open_ ~cat:"ack-wait" ~source ~key:0
-          ~label:(if at_io then "ack-wait (io)" else "ack-wait (boundary)")
-          time
-      | Event.Ack_wait_end _ -> close_ ~cat:"ack-wait" ~source ~key:0 time
-      | Event.Intr_buffered { id; kind; _ } ->
-        open_ ~cat:"intr-delay" ~source ~key:id
-          ~label:(Printf.sprintf "%s intr #%d" kind id)
-          time
-      | Event.Intr_delivered { id; _ } ->
-        close_ ~cat:"intr-delay" ~source ~key:id time
-      | Event.Msg_send { dseq; kind; _ } ->
-        open_ ~cat:"msg-rtt" ~source ~key:dseq
-          ~label:(Printf.sprintf "%s dseq %d" kind dseq)
-          time
-      | Event.Msg_acked { dseq } ->
-        close_ ~cat:"msg-rtt" ~source ~key:dseq time;
-        close_rtx ~source time
-      | Event.Rtx_round { round; count = _ } ->
-        if not (Hashtbl.mem rtx_rounds source) then
-          open_ ~cat:"rtx-chain" ~source ~key:0 ~label:"rtx" time;
-        Hashtbl.replace rtx_rounds source round
-      | Event.Rtx_give_up _ -> close_rtx ~source time
-      | Event.Crash -> crashes := (source, time) :: !crashes
-      | Event.Promoted _ ->
-        promoted_src := Some source;
-        let t0 =
-          (* measured from the most recent crash of another node; a
-             promotion with no observed crash (pure detector false
-             positive) starts at the promotion itself *)
-          match List.find_opt (fun (s, _) -> s <> source) !crashes with
-          | Some (_, tc) -> tc
-          | None -> time
-        in
-        open_ ~cat:"failover" ~source ~key:0 ~label:"crash to first I/O" t0
-      | Event.Io_submit _ ->
-        if !promoted_src = Some source then begin
-          close_ ~cat:"failover" ~source ~key:0 time;
-          promoted_src := None
-        end
-      | _ -> ())
-    entries;
+  List.iter (fun e -> feed p e collect spans) entries;
   (* whatever is still open stays open: a crash mid-epoch, an
-     interrupt never delivered, a failover with no subsequent I/O *)
+     interrupt never delivered, a failover with no subsequent I/O.
+     Ordered by key, so spans that tie on start, category and source
+     come out in a fixed order. *)
   let open_spans =
-    Hashtbl.fold
-      (fun (cat, source, _key) (t0, label) acc ->
-        { cat; source; label; t0; t1 = None } :: acc)
-      opens []
+    Slots.fold (fun (cat, source, key) s acc -> (key, cat, source, s) :: acc)
+      p.opens []
+    |> List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+    |> List.map (fun (_, cat, source, (t0, opener)) ->
+           let label = label ~opener ~closer:None in
+           { cat = names.(cat); source; label; t0; t1 = None })
   in
   let all = List.rev_append !spans open_spans in
   List.stable_sort
@@ -137,26 +169,6 @@ let of_entries entries =
       let c = Time.compare a.t0 b.t0 in
       if c <> 0 then c else compare (a.cat, a.source) (b.cat, b.source))
     all
-
-let histograms spans =
-  let tbl : (string, Hist.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      match duration s with
-      | None -> ()
-      | Some d ->
-        let h =
-          match Hashtbl.find_opt tbl s.cat with
-          | Some h -> h
-          | None ->
-            let h = Hist.create () in
-            Hashtbl.replace tbl s.cat h;
-            h
-        in
-        Hist.add h d)
-    spans;
-  Hashtbl.fold (fun cat h acc -> (cat, h) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 type failover = {
   crashed : string;

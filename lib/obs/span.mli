@@ -33,13 +33,41 @@ val duration : t -> Hft_sim.Time.t option
 val categories : string list
 (** All category names {!of_entries} can produce. *)
 
+(** {2 Streaming pairer}
+
+    The only begin/end pairing in the tree: {!of_entries} folds it
+    over a list, and {!Metrics.observe} drives it one event at a time
+    so quantiles survive ring wraparound.  Feeding formats no label
+    strings. *)
+
+type pairer
+
+val pairer : unit -> pairer
+
+val feed :
+  pairer ->
+  Recorder.entry ->
+  ('a ->
+  cat:string ->
+  source:string ->
+  t0:Hft_sim.Time.t ->
+  t1:Hft_sim.Time.t ->
+  opener:Event.t ->
+  closer:Event.t ->
+  unit) ->
+  'a ->
+  unit
+(** [feed p e on_close ctx] advances the pairing state by one
+    (time-ordered) entry and calls [on_close ctx] once for every span
+    [e] closes (at most two: an ack can end a round trip and a
+    retransmission chain, an epoch end an epoch and a recovery).
+    [cat] is one of {!categories}; [opener] is the event that opened
+    the span (for a failover, the promotion; for a retransmission
+    chain, its latest round) and [closer] is [e]'s event. *)
+
 val of_entries : Recorder.entry list -> t list
 (** Reconstruct spans from a time-ordered entry list (as returned by
     {!Recorder.entries}).  Result is sorted by start time. *)
-
-val histograms : t list -> (string * Hist.t) list
-(** One histogram of closed-span durations per category, sorted by
-    category name.  Categories with no closed span are absent. *)
 
 type failover = {
   crashed : string;

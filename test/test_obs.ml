@@ -1,7 +1,7 @@
 (* Tests for the observability layer (hft_obs): recorder ring
    semantics, histogram quantiles, span reconstruction (unit and
    seeded property tests), exporter round-trips against the validator,
-   and the zero-cost guarantee of the disabled string trace. *)
+   and lossless registry quantiles across ring wraparound. *)
 
 open Hft_obs
 module Time = Hft_sim.Time
@@ -61,47 +61,6 @@ let recorder_tests =
         check bool "enabled" false (Recorder.enabled Recorder.null);
         check bool "created is enabled" true
           (Recorder.enabled (Recorder.create ())));
-  ]
-
-(* The string trace (Hft_sim.Trace) shares the ring contract. *)
-let trace_ring_tests =
-  let open Alcotest in
-  let module Trace = Hft_sim.Trace in
-  [
-    test_case "length is retained count across wraparound" `Quick (fun () ->
-        let t = Trace.create ~capacity:3 () in
-        for i = 1 to 7 do
-          Trace.record t ~time:(Time.of_ms i) ~source:"s" "e"
-        done;
-        check int "length" 3 (Trace.length t);
-        check int "total" 7 (Trace.total_recorded t);
-        check int "entries" 3 (List.length (Trace.entries t)));
-    test_case "disabled recordf does not build the string" `Quick (fun () ->
-        (* The satellite fix: recordf on the null trace must not
-           format.  Formatting through a %a printer that raises proves
-           the arguments are never rendered. *)
-        let exploding _fmt () = failwith "formatted despite null sink" in
-        Trace.recordf Trace.null ~time:(Time.of_ms 1) ~source:"s" "boom %a"
-          exploding ();
-        check int "nothing recorded" 0 (Trace.length Trace.null));
-    test_case "disabled recordf costs less than enabled" `Slow (fun () ->
-        let n = 300_000 in
-        let bench t =
-          let t0 = Sys.time () in
-          for i = 1 to n do
-            Trace.recordf t ~time:(Time.of_ms 1) ~source:"bench"
-              "event %d of %d" i n
-          done;
-          Sys.time () -. t0
-        in
-        let active = bench (Trace.create ~capacity:1024 ()) in
-        let null = bench Trace.null in
-        (* Generous margin: the null sink skips formatting entirely, so
-           it must be well under the active cost even on noisy CI. *)
-        check bool
-          (Printf.sprintf "null %.4fs should be < active %.4fs" null active)
-          true
-          (null < (active /. 2.) +. 0.01));
   ]
 
 (* ---------- ring wraparound drop accounting ---------- *)
@@ -303,7 +262,7 @@ let metrics_tests =
         in
         check int "every epoch landed in a window" 10 epochs;
         check int "cumulative histogram has them all" 10
-          (Hist.count (Metrics.epoch_hist m));
+          (Hist.count (List.assoc "epoch" (Metrics.span_hists m)));
         List.iter
           (fun w ->
             check bool "fully available" true (Metrics.availability w = 1.0))
@@ -356,11 +315,7 @@ let metrics_schema_tests =
         Metrics.observe m (mk_ns 0 (Event.Epoch_begin { epoch = 0 }));
         Metrics.observe m
           (mk_ns 200_000 (Event.Epoch_end { epoch = 0; interrupts = 0 }));
-        let h = Hist.create () in
-        Hist.add h (Time.of_us 50);
-        let doc =
-          Export.metrics_json ~registry:m ~dropped:3 [ ("epoch", h) ]
-        in
+        let doc = Export.metrics_json ~dropped:3 m in
         (match Export.validate doc with
         | Ok s ->
           check bool "metrics format" true (s.Export.format = `Metrics);
@@ -558,13 +513,62 @@ let e2e_tests =
             f.Span.promoted;
           check bool "first I/O observed" true (f.Span.first_io_time <> None)
         | l -> failf "expected one failover, got %d" (List.length l));
-        let hists = Span.histograms spans in
+        let m = Metrics.create () in
+        List.iter (Metrics.observe m) entries;
         check bool "failover histogram present" true
-          (List.mem_assoc "failover" hists);
+          (List.mem_assoc "failover" (Metrics.span_hists m));
         check bool "metrics json validates as json" true
-          (match Json.parse (Export.metrics_json hists) with
+          (match Json.parse (Export.metrics_json m) with
           | Ok _ -> true
           | Error _ -> false));
+    test_case "a wrapped ring reports the same histogram counts" `Quick
+      (fun () ->
+        (* The same crash run recorded into the default ring and into a
+           256-entry one: the tapped registry saw every event either
+           way, so the exported quantiles must not depend on the ring,
+           while spans rebuilt from the wrapped ring lose epochs. *)
+        let run capacity =
+          let open Hft_core in
+          let params = { Params.default with Params.epoch_length = 1024 } in
+          let m = Metrics.create () in
+          let obs = Recorder.create ~capacity ~tap:(Metrics.tap m) () in
+          let sys =
+            System.create ~params ~obs
+              ~workload:(Hft_guest.Workload.disk_write ~ops:6 ())
+              ()
+          in
+          System.crash_primary_at sys (Time.of_ms 20);
+          ignore (System.run sys);
+          let counts =
+            match
+              Json.parse
+                (Export.metrics_json ~dropped:(Recorder.dropped obs) m)
+            with
+            | Ok doc ->
+              Json.member "histograms" doc
+              |> Option.to_list
+              |> List.concat_map (fun a ->
+                     Option.value ~default:[] (Json.to_list_opt a))
+              |> List.map (fun h ->
+                     ( Option.bind (Json.member "cat" h) Json.to_string_opt,
+                       Option.bind (Json.member "count" h) Json.to_float_opt ))
+            | Error e -> failf "metrics json invalid: %s" e
+          in
+          let closed_epochs =
+            List.length
+              (List.filter Span.closed
+                 (span_of_cat (Span.of_entries (Recorder.entries obs)) "epoch"))
+          in
+          (Recorder.dropped obs, counts, closed_epochs)
+        in
+        let full_drops, full, full_epochs = run 262_144 in
+        let small_drops, small, small_epochs = run 256 in
+        check int "default ring keeps everything" 0 full_drops;
+        check bool "small ring wrapped" true (small_drops > 0);
+        check bool "the ring copy loses epochs" true
+          (small_epochs < full_epochs);
+        check bool "some histograms exported" true (List.length full >= 3);
+        check bool "histogram counts match" true (full = small));
     test_case "recorder off: run is unobserved but completes" `Quick
       (fun () ->
         let open Hft_core in
@@ -584,7 +588,6 @@ let () =
     [
       ("recorder", recorder_tests);
       ("dropped", dropped_tests);
-      ("trace-ring", trace_ring_tests);
       ("hist", hist_tests);
       ("hist-merge", hist_merge_tests);
       ("metrics", metrics_tests);
