@@ -112,7 +112,7 @@ let backend_conv =
           Error
             (`Msg
               (Printf.sprintf
-                 "unknown backend %S (interp|threaded|differential)" s))),
+                 "unknown backend %S (interp|threaded)" s))),
       Params.pp_backend )
 
 let backend_arg =
@@ -121,12 +121,9 @@ let backend_arg =
     & opt backend_conv Params.Interp
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Guest execution backend: interp (the reference interpreter), \
-           threaded (manifest-certified superblocks pre-decoded into \
-           direct-threaded closure chains, interpreter on the cold path), \
-           or differential (the primary runs threaded while the backup \
-           runs the interpreter as an oracle; the first state-digest \
-           divergence at an epoch boundary is fatal).")
+          "Guest execution backend: interp (the reference interpreter) \
+           or threaded (manifest-certified superblocks pre-decoded into \
+           direct-threaded closure chains, interpreter on the cold path).")
 
 let params_of ?(backend = Params.Interp) ~epoch ~protocol ~link ~mechanism () =
   {
@@ -1056,13 +1053,14 @@ let workload_of_program ~name program =
 
 (* Run a workload to completion on the bare machine, optionally with
    the retirement profiler armed.  Returns the CPU (for its profile
-   and observed-bounds arrays) and whether the guest halted within the
-   fuel limit; a partial run still yields usable counters. *)
-let driven_bare ?(profile = false) ~params ~limit workload =
+   and observed-bounds arrays) and whether the guest halted within
+   [fuel] retired instructions; a partial run still yields usable
+   counters. *)
+let driven_bare ?(profile = false) ~params ~fuel workload =
   let b = Bare.create ~params ~workload () in
   if profile then Hft_machine.Cpu.install_profile (Bare.cpu b);
   Bare.init_disk_blocks b;
-  let halted = try ignore (Bare.run ~limit b) ; true with Failure _ -> false in
+  let halted = try ignore (Bare.run ~fuel b) ; true with Failure _ -> false in
   (Bare.cpu b, halted)
 
 (* Fold the manifest's basic blocks into the machine-agnostic shape
@@ -1380,7 +1378,6 @@ let lint_cmd =
      for any image present in both sets.  New images are fine (they
      extend the baseline); a disappeared image is a regression. *)
   let baseline_regressions ~path runs =
-    let module J = Hft_obs.Json in
     let module M = Hft_analysis.Manifest in
     let ic = open_in path in
     let doc =
@@ -1388,28 +1385,9 @@ let lint_cmd =
         ~finally:(fun () -> close_in ic)
         (fun () -> In_channel.input_all ic)
     in
-    match J.parse doc with
+    match M.set_of_string doc with
     | Error e -> [ Printf.sprintf "baseline %s: parse error: %s" path e ]
-    | Ok j ->
-      let entries =
-        match J.member "images" j |> Option.map J.to_list_opt with
-        | Some (Some l) -> l
-        | _ -> []
-      in
-      let baseline =
-        List.filter_map
-          (fun e ->
-            match
-              ( J.member "title" e |> Option.map J.to_string_opt,
-                J.member "manifest" e )
-            with
-            | Some (Some title), Some mj -> (
-              match M.of_json mj with
-              | Ok m -> Some (title, m)
-              | Error _ -> None)
-            | _ -> None)
-          entries
-      in
+    | Ok baseline ->
       List.concat_map
         (fun (title, old) ->
           match
@@ -1542,7 +1520,7 @@ let lint_cmd =
           | None -> ()
           | Some w -> (
             let params = Params.default in
-            let cpu, _halted = driven_bare ~params ~limit:10_000_000 w in
+            let cpu, _halted = driven_bare ~params ~fuel:10_000_000 w in
             match
               Hft_analysis.Slack.of_cpu
                 (Hypervisor.manifest ~params ~workload:w)
@@ -2234,7 +2212,7 @@ let profile_cmd =
     in
     let run backend =
       let params = Params.with_exec_backend Params.default backend in
-      driven_bare ~profile:true ~params ~limit workload
+      driven_bare ~profile:true ~params ~fuel:limit workload
     in
     (* interpreter first (its validator records the observed WCET
        maxima), then the direct-threaded backend over the identical

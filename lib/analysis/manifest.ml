@@ -662,6 +662,25 @@ let of_string s =
   let* j = J.parse s in
   of_json j
 
+let set_of_string s =
+  let* j = J.parse s in
+  let entries =
+    match Option.bind (J.member "images" j) J.to_list_opt with
+    | Some l -> l
+    | None -> []
+  in
+  Ok
+    (List.filter_map
+       (fun e ->
+         match
+           ( Option.bind (J.member "title" e) J.to_string_opt,
+             J.member "manifest" e )
+         with
+         | Some title, Some mj -> (
+           match of_json mj with Ok m -> Some (title, m) | Error _ -> None)
+         | _ -> None)
+       entries)
+
 let pp_summary fmt t =
   Format.fprintf fmt
     "%d/%d blocks certified, %d/%d superblocks (coverage %.1f%%), %d/%d \

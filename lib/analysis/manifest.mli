@@ -164,5 +164,11 @@ val to_json : t -> string
 val of_json : Hft_obs.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
+val set_of_string : string -> ((string * t) list, string) result
+(** The [(title, manifest)] entries of an [hftsim-manifest-set/1]
+    document (the [images] array [hftsim lint --json] writes for
+    several images).  Entries without a title or whose manifest fails
+    {!of_json} are skipped; only unparseable JSON is an error. *)
+
 val pp_summary : Format.formatter -> t -> unit
 (** One line: certified blocks/superblocks, coverage, [Jr] resolution. *)

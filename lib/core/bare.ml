@@ -15,6 +15,7 @@ type t = {
   workload : Hft_guest.Workload.t;
   mutable halted : bool;
   mutable halt_time : Time.t;
+  mutable fuel : int;  (* retired-instruction bound set by [run] *)
 }
 
 let fill_block ~block_words block =
@@ -27,8 +28,6 @@ let create ?(params = Params.default) ?(disk_seed = 42) ~workload () =
       ~code:workload.Hft_guest.Workload.program.Asm.code ()
   in
   Hypervisor.arm_manifest_validator ~params ~workload ~deprivileged:false cpu;
-  (* a single machine has no oracle to differ from, so [Differential]
-     degenerates to [Threaded] here *)
   Hypervisor.arm_translation ~params ~workload ~deprivileged:false cpu;
   let disk =
     Disk.create ~engine ~rng:(Rng.create disk_seed) params.Params.disk
@@ -52,6 +51,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ~workload () =
     workload;
     halted = false;
     halt_time = Time.zero;
+    fuel = max_int;
   }
 
 let engine t = t.engine
@@ -115,7 +115,10 @@ let rec schedule_step t delay =
   ignore (Engine.after t.engine delay (fun () -> step t))
 
 and step t =
-  if not t.halted then begin
+  if Cpu.instructions_retired t.cpu >= t.fuel then
+    (* out of fuel: [run] reports the guest as not halted *)
+    Engine.stop t.engine
+  else if not t.halted then begin
     (* deliver one pending interrupt if the guest will take it *)
     if
       (not (Interrupt.Pending.is_empty t.pending))
@@ -136,6 +139,7 @@ and step t =
       let fuel =
         if Interrupt.Pending.is_empty t.pending then fuel else min fuel 64
       in
+      let fuel = min fuel (t.fuel - Cpu.instructions_retired t.cpu) in
       let res = Cpu.run t.cpu ~fuel in
       let dt = Time.scale t.p.Params.instr_time res.Cpu.executed in
       ignore
@@ -212,10 +216,11 @@ type outcome = {
   disk_log : Disk.Log.entry list;
 }
 
-let run ?(limit = 200_000_000) t =
+let run ?(fuel = max_int) t =
+  t.fuel <- fuel;
   Guest_results.write_config t.cpu t.workload.Hft_guest.Workload.config;
   schedule_step t Time.zero;
-  Engine.run ~limit t.engine;
+  Engine.run t.engine;
   if not t.halted then failwith "Bare.run: guest did not halt";
   {
     time = t.halt_time;

@@ -35,6 +35,10 @@ val init_disk_blocks : t -> unit
 (** Fill every disk block with deterministic, block-dependent content,
     so read benchmarks have something recognisable to fetch. *)
 
-val run : ?limit:int -> t -> outcome
-(** Boot the guest and run the simulation to completion.
-    @raise Failure if the guest never halts (deadlock or runaway). *)
+val run : ?fuel:int -> t -> outcome
+(** Boot the guest and run the simulation to completion, retiring at
+    most [fuel] guest instructions (default: unbounded).  Each slice is
+    clipped to the fuel left, so the bound is exact for instructions
+    the CPU retires.
+    @raise Failure if the guest never halts (deadlock, runaway, or
+    fuel exhausted). *)

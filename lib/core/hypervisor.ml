@@ -200,7 +200,32 @@ let halted t = t.halted_
 let halt_time t = t.halt_time_
 let epoch t = t.epoch_
 let cpu t = t.vm
-let stats t = t.st
+(* The validator and translator counters live in the CPU, cumulative
+   over its lifetime; they are copied in on read so the slice loop
+   never touches them. *)
+let stats t =
+  let st = t.st in
+  (match Cpu.validator_coverage t.vm with
+  | Some (covered, checked) ->
+    st.Stats.certified_instructions <- covered;
+    st.Stats.validated_instructions <- checked
+  | None -> ());
+  (match Cpu.translation t.vm with
+  | Some tx ->
+    st.Stats.blocks_translated <- tx.Translate.translated_blocks;
+    st.Stats.superinstructions_fused <- tx.Translate.fused;
+    st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
+    st.Stats.threaded_entries <- tx.Translate.entries_taken;
+    st.Stats.loops_hoisted <- tx.Translate.hoisted_loops;
+    st.Stats.hoisted_decrements <- tx.Translate.state.Translate.x_hoist_saved;
+    st.Stats.fallback_budget <- tx.Translate.fb_budget;
+    st.Stats.fallback_priv <- tx.Translate.fb_priv;
+    st.Stats.fallback_link <- tx.Translate.fb_link;
+    st.Stats.fallback_indirect <- tx.Translate.fb_indirect;
+    st.Stats.fallback_bail <- tx.Translate.fb_bail;
+    st.Stats.fallback_stop <- tx.Translate.fb_stop
+  | None -> ());
+  st
 
 let results t = Guest_results.read t.vm
 
@@ -229,8 +254,7 @@ let fnv_prime = 0x100000001b3
 let fnv_mask = (1 lsl 62) - 1
 
 let vm_state_hash t =
-  let full = t.p.Params.hash_scheme = Params.Full_rehash in
-  let h = ref (Cpu.state_hash ~include_tlb:false ~full t.vm) in
+  let h = ref (Cpu.state_hash ~include_tlb:false t.vm) in
   Array.iter (fun v -> h := (!h lxor v) * fnv_prime land fnv_mask) t.vcrs;
   !h
 
@@ -257,15 +281,14 @@ let arm_manifest_validator ~params ~workload ~deprivileged cpu =
     Hft_analysis.Manifest.install (manifest ~params ~workload) ~deprivileged
       cpu
 
-(* Under the [Threaded] (or [Differential], which maps to [Threaded]
-   on one replica) backend, additionally compile the manifest's
+(* Under the [Threaded] backend, additionally compile the manifest's
    certified superblocks into the CPU's direct-threaded translation
    cache.  A stale manifest is not fatal here — the CPU simply stays
-   on the full-interpreter path, which is the semantic oracle. *)
+   on the full-interpreter path, which is the semantic reference. *)
 let arm_translation ~params ~workload ~deprivileged cpu =
   match params.Params.exec_backend with
   | Params.Interp -> ()
-  | Params.Threaded | Params.Differential ->
+  | Params.Threaded ->
     let m = manifest ~params ~workload in
     (match Hft_analysis.Manifest.install_translation m ~deprivileged cpu with
     | Ok _ -> ()
@@ -639,29 +662,6 @@ and continue_vm t =
         let res = Cpu.run t.vm ~fuel in
         t.st.Stats.instructions <-
           t.st.Stats.instructions + res.Cpu.executed;
-        (* the coverage counters are cumulative over the CPU's
-           lifetime, so overwrite rather than accumulate *)
-        (match Cpu.validator_coverage t.vm with
-        | Some (covered, checked) ->
-          t.st.Stats.certified_instructions <- covered;
-          t.st.Stats.validated_instructions <- checked
-        | None -> ());
-        (match Cpu.translation t.vm with
-        | Some tx ->
-          t.st.Stats.blocks_translated <- tx.Translate.translated_blocks;
-          t.st.Stats.superinstructions_fused <- tx.Translate.fused;
-          t.st.Stats.threaded_instrs <- tx.Translate.threaded_instrs;
-          t.st.Stats.threaded_entries <- tx.Translate.entries_taken;
-          t.st.Stats.loops_hoisted <- tx.Translate.hoisted_loops;
-          t.st.Stats.hoisted_decrements <-
-            tx.Translate.state.Translate.x_hoist_saved;
-          t.st.Stats.fallback_budget <- tx.Translate.fb_budget;
-          t.st.Stats.fallback_priv <- tx.Translate.fb_priv;
-          t.st.Stats.fallback_link <- tx.Translate.fb_link;
-          t.st.Stats.fallback_indirect <- tx.Translate.fb_indirect;
-          t.st.Stats.fallback_bail <- tx.Translate.fb_bail;
-          t.st.Stats.fallback_stop <- tx.Translate.fb_stop
-        | None -> ());
         let dt = Time.scale t.p.Params.instr_time res.Cpu.executed in
         ignore
           (Engine.after t.engine ~label:"stop" ~actor:t.name_ dt

@@ -71,9 +71,9 @@ val arm_translation :
   deprivileged:bool ->
   Hft_machine.Cpu.t ->
   unit
-(** When [params.exec_backend] is [Threaded] or [Differential],
-    analyze the workload's image and compile its certified superblocks
-    into [cpu]'s direct-threaded translation cache
+(** When [params.exec_backend] is [Threaded], analyze the workload's
+    image and compile its certified superblocks into [cpu]'s
+    direct-threaded translation cache
     ({!Hft_analysis.Manifest.install_translation}).  A stale manifest
     degrades silently to the full-interpreter path.  A no-op under
     [Interp]. *)
@@ -132,6 +132,9 @@ val halt_time : t -> Hft_sim.Time.t
 val epoch : t -> int
 val cpu : t -> Hft_machine.Cpu.t
 val stats : t -> Stats.t
+(** The node's live counters.  The validator and translator fields are
+    refreshed from the CPU on each call, so read them through here. *)
+
 val results : t -> Guest_results.t
 
 val vm_state_hash : t -> int

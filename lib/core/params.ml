@@ -6,9 +6,7 @@ type tlb_mode = Hypervisor_managed | Guest_managed
 
 type epoch_mechanism = Recovery_register | Code_rewriting
 
-type hash_scheme = Incremental | Full_rehash
-
-type exec_backend = Interp | Threaded | Differential
+type exec_backend = Interp | Threaded
 
 type t = {
   epoch_length : int;
@@ -38,7 +36,6 @@ type t = {
   hv_recovery_max : int;
   disk : Hft_devices.Disk.params;
   cpu_config : Hft_machine.Cpu.config;
-  hash_scheme : hash_scheme;
   validate_manifest : bool;
   exec_backend : exec_backend;
   profile_guest : bool;
@@ -73,7 +70,6 @@ let default =
     hv_recovery_max = 8;
     disk = Hft_devices.Disk.default_params;
     cpu_config = Hft_machine.Cpu.default_config;
-    hash_scheme = Incremental;
     validate_manifest = true;
     exec_backend = Interp;
     profile_guest = false;
@@ -89,7 +85,6 @@ let with_protocol t protocol = { t with protocol }
 let with_link t link = { t with link }
 let with_retransmit t retransmit = { t with retransmit }
 let with_ack_wait t ack_wait = { t with ack_wait }
-let with_hash_scheme t hash_scheme = { t with hash_scheme }
 let with_validate_manifest t validate_manifest = { t with validate_manifest }
 let with_exec_backend t exec_backend = { t with exec_backend }
 let with_profile_guest t profile_guest = { t with profile_guest }
@@ -97,12 +92,10 @@ let with_profile_guest t profile_guest = { t with profile_guest }
 let backend_name = function
   | Interp -> "interp"
   | Threaded -> "threaded"
-  | Differential -> "differential"
 
 let backend_of_name = function
   | "interp" -> Some Interp
   | "threaded" -> Some Threaded
-  | "differential" -> Some Differential
   | _ -> None
 
 let pp_protocol fmt = function

@@ -41,16 +41,6 @@ type epoch_mechanism =
           hypervisor is invoked periodically ({!Hft_machine.Rewrite});
           epochs become variable-length, bounded by [epoch_length] *)
 
-type hash_scheme =
-  | Incremental
-      (** lockstep state hashes re-hash only memory pages written
-          since the previous epoch boundary ({!Hft_machine.Memory.digest}) *)
-  | Full_rehash
-      (** every boundary re-hashes all of memory from scratch — the
-          pre-dirty-tracking behaviour, kept as the reference and
-          benchmark baseline.  Both schemes produce identical hash
-          values, so replicas may differ in this setting. *)
-
 type exec_backend =
   | Interp
       (** the decode-per-step interpreter — the reference semantics *)
@@ -59,12 +49,6 @@ type exec_backend =
           closure chains ({!Hft_machine.Translate}); everything else —
           and every trap, exit, or stale manifest — falls back to the
           interpreter *)
-  | Differential
-      (** both at once, as the paper's own lockstep makes possible:
-          the primary runs [Threaded], the backup runs [Interp], and
-          the first state-digest divergence at an epoch boundary
-          faults the run immediately — the interpreter is the oracle
-          for the translator *)
 
 type t = {
   epoch_length : int;        (** instructions per epoch (the recovery
@@ -128,20 +112,21 @@ type t = {
           fail-stop and lets the peer's failover path take over *)
   disk : Hft_devices.Disk.params;
   cpu_config : Hft_machine.Cpu.config;
-  hash_scheme : hash_scheme;
   validate_manifest : bool;
       (** analyze the guest image at boot and arm the interpreter's
           runtime certificate validator
           ({!Hft_machine.Cpu.install_validator}) with the resulting
           compilation manifest, so every run differentially tests the
           static certificates against actual execution.  On by
-          default; benchmarks turn it off for clean timings. *)
+          default; turning it off must leave every epoch's state
+          digest unchanged (the configuration-invariance oracle in
+          [test/test_invariance.ml] checks this). *)
   exec_backend : exec_backend;
       (** how guest instructions execute between stops; [Interp] by
-          default.  [Threaded]/[Differential] additionally compile the
-          manifest's certified superblocks into the CPU's translation
-          cache at boot ({!Hft_analysis.Manifest.install_translation});
-          a stale manifest logs and degrades to full interpretation. *)
+          default.  [Threaded] additionally compiles the manifest's
+          certified superblocks into the CPU's translation cache at
+          boot ({!Hft_analysis.Manifest.install_translation}); a stale
+          manifest degrades to full interpretation. *)
   profile_guest : bool;
       (** arm exact guest hot-spot profiling on every virtual machine
           at boot ({!Hft_machine.Cpu.install_profile}): per-address
@@ -163,7 +148,6 @@ val with_protocol : t -> protocol -> t
 val with_link : t -> Hft_net.Link.t -> t
 val with_retransmit : t -> bool -> t
 val with_ack_wait : t -> bool -> t
-val with_hash_scheme : t -> hash_scheme -> t
 val with_validate_manifest : t -> bool -> t
 val with_exec_backend : t -> exec_backend -> t
 val with_profile_guest : t -> bool -> t

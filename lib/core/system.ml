@@ -6,11 +6,6 @@ type lockstep = {
   hashes : (int, int) Hashtbl.t;  (* epoch -> first reporter's hash *)
   mutable compared : int;
   mutable mismatches : int list;  (* reversed *)
-  fail_fast : bool;
-      (* under [Params.Differential] the replicas deliberately run
-         different execution backends, so the first divergence is a
-         translator bug: fault the run immediately instead of
-         accumulating mismatches *)
 }
 
 type t = {
@@ -38,15 +33,7 @@ let record_boundary ls ~epoch ~hash =
   | None -> Hashtbl.replace ls.hashes epoch hash
   | Some other ->
     ls.compared <- ls.compared + 1;
-    if other <> hash then begin
-      ls.mismatches <- epoch :: ls.mismatches;
-      if ls.fail_fast then
-        failwith
-          (Printf.sprintf
-             "System: differential divergence at epoch %d: one replica \
-              hashed 0x%x, the other 0x%x"
-             epoch other hash)
-    end
+    if other <> hash then ls.mismatches <- epoch :: ls.mismatches
 
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
     ?(lockstep = true) ?(init_disk = true) ?(second_backup = false)
@@ -101,24 +88,14 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
     | _ -> params
   in
   let seeds = match tlb_seeds with Some (a, b) -> (a, b) | None -> (1, 1) in
-  (* [Differential] splits the backends across the replicas: the
-     primary executes through the direct-threaded translation, the
-     backup stays on the decode-per-step interpreter, and the
-     protocol's own epoch-boundary state hashes arbitrate *)
-  let backend_for role p =
-    match (p.Params.exec_backend, role) with
-    | Params.Differential, `Primary -> Params.with_exec_backend p Params.Threaded
-    | Params.Differential, `Backup -> Params.with_exec_backend p Params.Interp
-    | (Params.Interp | Params.Threaded), _ -> p
-  in
   let primary_ =
     Hypervisor.create ~name:"primary" ~role:Hypervisor.Primary ~port:0 ~engine
-      ~params:(backend_for `Primary (params_for (fst seeds)))
+      ~params:(params_for (fst seeds))
       ~workload ~disk:disk_ ~console:console_ ~clock:clock_p ~obs ()
   in
   let backup_ =
     Hypervisor.create ~name:"backup" ~role:Hypervisor.Backup ~port:1 ~engine
-      ~params:(backend_for `Backup (params_for (snd seeds)))
+      ~params:(params_for (snd seeds))
       ~workload ~disk:disk_ ~console:console_ ~clock:clock_b ~obs ()
   in
   (* delivery events are tagged with the RECEIVER: that is whose state
@@ -147,7 +124,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
          detection and takeover before suspecting the whole chain *)
       let params2 =
         {
-          (backend_for `Backup (params_for (snd seeds))) with
+          (params_for (snd seeds)) with
           Params.detector_timeout = Time.scale params.Params.detector_timeout 3;
         }
       in
@@ -180,13 +157,7 @@ let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
   Channel.connect ch_bp (fun msg -> Hypervisor.on_message primary_ msg);
   let ls =
     if lockstep then
-      Some
-        {
-          hashes = Hashtbl.create 1024;
-          compared = 0;
-          mismatches = [];
-          fail_fast = params.Params.exec_backend = Params.Differential;
-        }
+      Some { hashes = Hashtbl.create 1024; compared = 0; mismatches = [] }
     else None
   in
   (match ls with

@@ -92,7 +92,11 @@ let of_string s =
         (Format_error
            (Printf.sprintf "instruction count mismatch: header %d, found %d"
               count (Array.length words)));
-    let code = Encode.decode_program words in
+    let code =
+      try Encode.decode_program words
+      with Encode.Decode_error m ->
+        raise (Format_error ("bad instruction word: " ^ m))
+    in
     (* rebuild through the assembler so labels are validated *)
     let by_addr = Hashtbl.create 16 in
     List.iter
@@ -134,7 +138,7 @@ let of_string s =
     (match Hashtbl.find_opt by_addr (Array.length code) with
     | Some names -> List.iter (fun n -> items := Asm.label n :: !items) names
     | None -> ());
-    Asm.assemble (List.rev !items)
+    try Asm.assemble (List.rev !items) with Asm.Error m -> raise (Format_error m)
 
 let manifest_of_string s =
   String.split_on_char '\n' s

@@ -31,8 +31,8 @@ exception Format_error of string
 
 val to_string : ?manifest:string -> Asm.program -> string
 val of_string : string -> Asm.program
-(** @raise Format_error on a malformed image.
-    @raise Encode.Decode_error on an invalid instruction word. *)
+(** @raise Format_error on a malformed image, including an invalid
+    instruction word or a label the assembler rejects. *)
 
 val manifest_of_string : string -> string option
 (** The embedded manifest line, verbatim, if the image carries one. *)

@@ -459,6 +459,27 @@ let reproducibility_tests =
 let api_edge_tests =
   let open Alcotest in
   [
+    test_case "bare run of an endless loop stops at its instruction fuel"
+      `Quick (fun () ->
+        let main =
+          Hft_machine.Asm.
+            [ ldi r1 0; label "spin"; addi r1 r1 1; jmp (lbl "spin") ]
+        in
+        let w = Random_programs.workload_of_main ~name:"spin" main in
+        List.iter
+          (fun backend ->
+            let params = Params.with_exec_backend Params.default backend in
+            let b = Bare.create ~params ~workload:w () in
+            let halted =
+              try
+                ignore (Bare.run ~fuel:250_000 b);
+                true
+              with Failure _ -> false
+            in
+            check bool "reported as not halted" false halted;
+            check int "retired exactly the fuel" 250_000
+              (Hft_machine.Cpu.instructions_retired (Bare.cpu b)))
+          [ Params.Interp; Params.Threaded ]);
     test_case "request_reintegration on a backup is rejected" `Quick
       (fun () ->
         let w = Workload.dhrystone ~iterations:10 in
@@ -554,80 +575,10 @@ let random_main_gen =
         ])
     (list_size (int_range 50 600) item)
 
-(* Structured random programs with bounded loops: richer control flow
-   than the straight-line generator, still guaranteed to terminate.
-   Programs are trees of blocks; loops use a dedicated counter
-   register and unique labels. *)
-let structured_main_gen =
-  let open QCheck.Gen in
-  let fresh =
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      Printf.sprintf "q%d" !n
-  in
-  let reg = int_range 1 9 in
-  let alu_op =
-    oneofl
-      Hft_machine.Isa.
-        [ Add; Sub; Mul; Xor; And; Or; Sll; Srl; Slt ]
-  in
-  let simple =
-    frequency
-      [
-        (5, map (fun ((op, a), (b, c)) ->
-                 [ Hft_machine.Asm.insn (Hft_machine.Isa.Alu (op, a, b, c)) ])
-              (pair (pair alu_op reg) (pair reg reg)));
-        (2, map2 (fun r v -> [ Hft_machine.Asm.ldi r v ]) reg (int_range 0 65535));
-        (2, map2 (fun r off -> [ Hft_machine.Asm.st r 0 off ])
-              reg (int_range 0x1200 0x15FF));
-        (2, map2 (fun r off -> [ Hft_machine.Asm.ld r 0 off ])
-              reg (int_range 0x1200 0x15FF));
-        (1, map (fun r -> [ Hft_machine.Asm.rdtod r ]) reg);
-        (1, map (fun r -> [ Hft_machine.Asm.out r ]) reg);
-        (1, return [ Hft_machine.Asm.trapc 1 ]);
-      ]
-  in
-  (* a loop runs its body a fixed small number of times using r10/r11 *)
-  let loop body_gen =
-    map2
-      (fun n bodies ->
-        let l = fresh () in
-        [
-          Hft_machine.Asm.ldi 10 0;
-          Hft_machine.Asm.ldi 11 n;
-          Hft_machine.Asm.label l;
-        ]
-        @ List.concat bodies
-        @ [
-            Hft_machine.Asm.addi 10 10 1;
-            Hft_machine.Asm.blt 10 11 (Hft_machine.Asm.lbl l);
-          ])
-      (int_range 1 12)
-      (list_size (int_range 1 8) body_gen)
-  in
-  let block = frequency [ (3, simple); (1, loop simple) ] in
-  map
-    (fun blocks ->
-      List.concat blocks
-      @ [
-          Hft_machine.Asm.st 1 0 Layout.res_checksum;
-          Hft_machine.Asm.halt;
-        ])
-    (list_size (int_range 3 25) block)
-
 let structured_lockstep_prop =
   QCheck.Test.make ~name:"random structured programs stay in lockstep"
-    ~count:25 (QCheck.make structured_main_gen) (fun main ->
-      let w =
-        {
-          Workload.name = "structured";
-          description = "random program with loops";
-          program = Kernel.program ~main;
-          config = [];
-          instructions_per_iteration = 1;
-        }
-      in
+    ~count:25 (QCheck.make Random_programs.structured_main_gen) (fun main ->
+      let w = Random_programs.workload_of_main main in
       let params = { Params.default with Params.epoch_length = 128 } in
       let sys = System.create ~params ~lockstep:true ~workload:w () in
       let o = System.run sys in
@@ -638,16 +589,8 @@ let structured_lockstep_prop =
 let structured_rewriting_prop =
   QCheck.Test.make
     ~name:"random structured programs stay in lockstep under rewriting"
-    ~count:10 (QCheck.make structured_main_gen) (fun main ->
-      let w =
-        {
-          Workload.name = "structured";
-          description = "random program with loops";
-          program = Kernel.program ~main;
-          config = [];
-          instructions_per_iteration = 1;
-        }
-      in
+    ~count:10 (QCheck.make Random_programs.structured_main_gen) (fun main ->
+      let w = Random_programs.workload_of_main main in
       let params =
         {
           Params.default with
@@ -690,19 +633,6 @@ let incremental_hashing_tests =
         check int "final hash equal"
           (Hypervisor.vm_state_hash (System.primary sys))
           (Hypervisor.vm_state_hash (System.backup sys)));
-    test_case "incremental and full-rehash schemes give equal hashes" `Quick
-      (fun () ->
-        (* same workload under both schemes: lockstep must hold in
-           each, and the final state hashes must agree across runs —
-           the scheme is invisible to the protocol *)
-        let run scheme =
-          let params = Params.with_hash_scheme small_params scheme in
-          let sys, o = run_sys ~params (Workload.dhrystone ~iterations:1500) in
-          check (list int) "no divergence" [] o.System.lockstep_mismatches;
-          Hypervisor.vm_state_hash (System.primary sys)
-        in
-        check int "schemes agree" (run Params.Incremental)
-          (run Params.Full_rehash));
     test_case "a single corrupted word is caught at the next boundary" `Quick
       (fun () ->
         let w = Workload.dhrystone ~iterations:3000 in

@@ -222,20 +222,17 @@ let test_bare_backend_equivalence () =
       ("queued-io", Workload.queued_io ~pairs:6);
     ]
 
-(* ---------- replicated system: threaded and differential ---------- *)
-
-let run_sys ?(backend = Params.Interp) w =
-  let params =
-    Params.with_exec_backend
-      { Params.default with Params.epoch_length = 512 }
-      backend
-  in
-  let sys = System.create ~params ~lockstep:true ~workload:w () in
-  (sys, System.run sys)
+(* ---------- replicated system: threaded ---------- *)
 
 let test_threaded_system_lockstep () =
   let w = Workload.mixed ~compute:300 ~ops:6 () in
-  let sys, o = run_sys ~backend:Params.Threaded w in
+  let params =
+    Params.with_exec_backend
+      { Params.default with Params.epoch_length = 512 }
+      Params.Threaded
+  in
+  let sys = System.create ~params ~lockstep:true ~workload:w () in
+  let o = System.run sys in
   Alcotest.(check (list int)) "no mismatches" [] o.System.lockstep_mismatches;
   Alcotest.(check bool) "epochs compared" true (o.System.epochs_compared > 0);
   Alcotest.(check int) "replicas agree"
@@ -247,96 +244,13 @@ let test_threaded_system_lockstep () =
   Alcotest.(check bool) "blocks translated" true
     (st.Stats.blocks_translated > 0)
 
-let test_differential_system () =
-  let w = Workload.mixed ~compute:300 ~ops:6 () in
-  let sys, o = run_sys ~backend:Params.Differential w in
-  Alcotest.(check (list int)) "no divergence" [] o.System.lockstep_mismatches;
-  let p = Hypervisor.stats (System.primary sys) in
-  let b = Hypervisor.stats (System.backup sys) in
-  Alcotest.(check bool) "primary ran threaded" true
-    (p.Stats.threaded_instrs > 0);
-  Alcotest.(check int) "backup stayed on the interpreter" 0
-    b.Stats.threaded_instrs;
-  Alcotest.(check int) "replicas agree"
-    (Hypervisor.vm_state_hash (System.primary sys))
-    (Hypervisor.vm_state_hash (System.backup sys))
+(* ---------- randomized properties ---------- *)
 
-let test_differential_interp_equivalence () =
-  (* the threaded run must also match a pure-interpreter run of the
-     same system, not merely its own backup *)
-  let w = Workload.dhrystone ~iterations:500 in
-  let sys_i, o_i = run_sys ~backend:Params.Interp w in
-  let sys_t, o_t = run_sys ~backend:Params.Threaded w in
-  Alcotest.(check bool) "same guest results" true
-    (Guest_results.equal o_i.System.results o_t.System.results);
-  Alcotest.(check bool) "same completion time" true
-    (o_i.System.time = o_t.System.time);
-  Alcotest.(check int) "same final VM state"
-    (Hypervisor.vm_state_hash (System.primary sys_i))
-    (Hypervisor.vm_state_hash (System.primary sys_t));
-  Alcotest.(check int) "same instruction count"
-    (Hypervisor.stats (System.primary sys_i)).Stats.instructions
-    (Hypervisor.stats (System.primary sys_t)).Stats.instructions
-
-(* ---------- randomized differential properties ---------- *)
-
-(* Structured random programs with bounded loops, as in test_core —
-   the strongest oracle we have: a random certified image must execute
-   identically under every backend, epoch by epoch. *)
-let structured_main_gen =
-  let open QCheck.Gen in
-  let fresh =
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      Printf.sprintf "t%d" !n
-  in
-  let reg = int_range 1 9 in
-  let alu_op =
-    oneofl Isa.[ Add; Sub; Mul; Xor; And; Or; Sll; Srl; Slt ]
-  in
-  let simple =
-    frequency
-      [
-        (5, map (fun ((op, a), (b, c)) -> [ Asm.insn (Isa.Alu (op, a, b, c)) ])
-              (pair (pair alu_op reg) (pair reg reg)));
-        (2, map2 (fun r v -> [ Asm.ldi r v ]) reg (int_range 0 65535));
-        (2, map2 (fun r off -> [ Asm.st r 0 off ]) reg (int_range 0x1200 0x15FF));
-        (2, map2 (fun r off -> [ Asm.ld r 0 off ]) reg (int_range 0x1200 0x15FF));
-        (1, map (fun r -> [ Asm.rdtod r ]) reg);
-        (1, map (fun r -> [ Asm.out r ]) reg);
-        (1, return [ Asm.trapc 1 ]);
-      ]
-  in
-  let loop body_gen =
-    map2
-      (fun n bodies ->
-        let l = fresh () in
-        [ Asm.ldi 10 0; Asm.ldi 11 n; Asm.label l ]
-        @ List.concat bodies
-        @ [ Asm.addi 10 10 1; Asm.blt 10 11 (Asm.lbl l) ])
-      (int_range 1 12)
-      (list_size (int_range 1 8) body_gen)
-  in
-  let block = frequency [ (3, simple); (1, loop simple) ] in
-  map
-    (fun blocks ->
-      List.concat blocks
-      @ [ Asm.st 1 0 Layout.res_checksum; Asm.halt ])
-    (list_size (int_range 3 25) block)
-
-let workload_of_main main =
-  {
-    Workload.name = "random-threaded";
-    description = "random program, threaded backend";
-    program = Kernel.program ~main;
-    config = [];
-    instructions_per_iteration = 1;
-  }
+let workload_of_main = Random_programs.workload_of_main ~name:"random-threaded"
 
 let prop_threaded_lockstep =
   QCheck.Test.make ~name:"random programs: threaded replicas stay in lockstep"
-    ~count:15 (QCheck.make structured_main_gen) (fun main ->
+    ~count:15 (QCheck.make Random_programs.structured_main_gen) (fun main ->
       let w = workload_of_main main in
       let params =
         Params.with_exec_backend
@@ -349,28 +263,10 @@ let prop_threaded_lockstep =
       && Hypervisor.vm_state_hash (System.primary sys)
          = Hypervisor.vm_state_hash (System.backup sys))
 
-let prop_differential_oracle =
-  QCheck.Test.make
-    ~name:"random programs: differential backend never diverges" ~count:15
-    (QCheck.make structured_main_gen) (fun main ->
-      let w = workload_of_main main in
-      let params =
-        Params.with_exec_backend
-          { Params.default with Params.epoch_length = 128 }
-          Params.Differential
-      in
-      (* record_boundary faults loudly on the first divergence, so
-         completing the run is the property *)
-      let sys = System.create ~params ~lockstep:true ~workload:w () in
-      let o = System.run sys in
-      o.System.lockstep_mismatches = []
-      && Hypervisor.vm_state_hash (System.primary sys)
-         = Hypervisor.vm_state_hash (System.backup sys))
-
 let prop_bare_backends_agree =
   QCheck.Test.make
     ~name:"random programs: bare interp and threaded outcomes identical"
-    ~count:15 (QCheck.make structured_main_gen) (fun main ->
+    ~count:15 (QCheck.make Random_programs.structured_main_gen) (fun main ->
       let w = workload_of_main main in
       let oi, hi, _ = bare_outcome Params.Interp w in
       let ot, ht, _ = bare_outcome Params.Threaded w in
@@ -503,15 +399,10 @@ let () =
         [
           Alcotest.test_case "threaded replicas stay in lockstep" `Quick
             test_threaded_system_lockstep;
-          Alcotest.test_case "differential: threaded primary, interp backup"
-            `Quick test_differential_system;
-          Alcotest.test_case "threaded system matches a pure-interp system"
-            `Quick test_differential_interp_equivalence;
         ] );
       ( "properties",
         [
           q prop_threaded_lockstep;
-          q prop_differential_oracle;
           q prop_bare_backends_agree;
         ] );
     ]
