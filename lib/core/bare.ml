@@ -132,7 +132,8 @@ and step t =
     end
     else begin
       let fuel =
-        Hypervisor.slice_fuel t.engine ~instr_time:t.p.Params.instr_time
+        Hypervisor.slice_fuel t.engine ~actor:"" ~lookahead:Time.zero
+          ~instr_time:t.p.Params.instr_time
       in
       (* with an interrupt pending but masked, keep bursts short so the
          enable edge is noticed promptly, as hardware sampling would *)

@@ -5,17 +5,28 @@ module Channel = Hft_net.Channel
 module Layout = Hft_guest.Layout
 module Ev = Hft_obs.Event
 
-(* Instruction fuel for one VM slice: run up to the next scheduled
-   event (so an interrupt lands at the right instruction boundary), at
-   least one instruction and at most [max_burst]. *)
+(* Instruction fuel for one VM slice: run up to the earliest event
+   that can touch this node ([Engine.horizon]), so an interrupt lands
+   at the right instruction boundary, at least one instruction and at
+   most [max_burst].  Other nodes' events bound the slice only
+   [lookahead] after they fire: they cannot reach this node sooner. *)
 let max_burst = 2_000_000
 
-let slice_fuel engine ~instr_time =
-  match Engine.next_time engine with
+let slice_fuel engine ~actor ~lookahead ~instr_time =
+  match Engine.horizon engine ~actor ~lookahead with
   | Some next ->
     let gap = Time.to_ns (Time.diff next (Engine.now engine)) in
     max 1 (min (gap / Time.to_ns instr_time) max_burst)
   | None -> max_burst
+
+(* The lookahead a VM slice uses: one nanosecond short of
+   [Params.lookahead].  An event another node schedules for this one
+   lands at least [Params.lookahead] after its cause.  A slice stopping
+   exactly there would fire its [stop] before that event at the same
+   instant, though a slice cut at every event fires the event first;
+   stopping a nanosecond earlier keeps every same-instant order. *)
+let slice_lookahead p =
+  Time.of_ns (max 0 (Time.to_ns (Params.lookahead p) - 1))
 
 type role = Primary | Backup | Promoted
 
@@ -110,6 +121,7 @@ type t = {
   name_ : string;
   engine : Engine.t;
   p : Params.t;
+  lookahead : Time.t;  (* [slice_lookahead p] *)
   vm : Cpu.t;
   clock : Clock.t;
   disk : Disk.t;
@@ -307,6 +319,7 @@ let create ~name ~role ~port ~engine ~params ~workload ~disk ~console ~clock
     name_ = name;
     engine;
     p = params;
+    lookahead = slice_lookahead params;
     vm;
     clock;
     disk;
@@ -658,11 +671,16 @@ and continue_vm t =
     else
       match t.blocked with
       | Not_blocked ->
-        let fuel = slice_fuel t.engine ~instr_time:t.p.Params.instr_time in
+        let fuel =
+          slice_fuel t.engine ~actor:t.name_ ~lookahead:t.lookahead
+            ~instr_time:t.p.Params.instr_time
+        in
         let res = Cpu.run t.vm ~fuel in
         t.st.Stats.instructions <-
           t.st.Stats.instructions + res.Cpu.executed;
         let dt = Time.scale t.p.Params.instr_time res.Cpu.executed in
+        Engine.reserve t.engine ~actor:t.name_ ~lookahead:t.lookahead
+          (Time.add (Engine.now t.engine) dt);
         ignore
           (Engine.after t.engine ~label:"stop" ~actor:t.name_ dt
              (guarded t ~label:"stop" `Work (fun () ->

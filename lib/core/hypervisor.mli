@@ -40,10 +40,20 @@ type role = Primary | Backup | Promoted
 
 type t
 
-val slice_fuel : Hft_sim.Engine.t -> instr_time:Hft_sim.Time.t -> int
+val slice_fuel :
+  Hft_sim.Engine.t ->
+  actor:string ->
+  lookahead:Hft_sim.Time.t ->
+  instr_time:Hft_sim.Time.t ->
+  int
 (** Instruction fuel for one guest slice, shared by the hypervisor and
-    {!Bare}: the gap to the engine's next scheduled event divided by
-    [instr_time], clamped to [[1, 2_000_000]]. *)
+    {!Bare}: the gap to [Engine.horizon ~actor ~lookahead] divided by
+    [instr_time], clamped to [[1, 2_000_000]].  A hypervisor passes its
+    node's name and one nanosecond less than {!Params.lookahead}, and
+    reserves the slice with [Engine.reserve] so that an event breaking
+    the lookahead fails the run; {!Bare}, whose events are all
+    untagged, passes [""] and zero, which bounds the slice by the next
+    event of any kind. *)
 
 val manifest :
   params:Params.t -> workload:Hft_guest.Workload.t -> Hft_analysis.Manifest.t

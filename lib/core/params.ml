@@ -77,6 +77,11 @@ let default =
 
 let hsim t = Time.add t.hv_entry_exit t.hv_work
 
+let lookahead t =
+  let d = t.disk in
+  Time.min t.link.Hft_net.Link.per_message_overhead
+    (Time.min d.Hft_devices.Disk.read_latency d.Hft_devices.Disk.write_latency)
+
 let with_epoch_length t epoch_length =
   if epoch_length <= 0 then invalid_arg "Params.with_epoch_length: must be positive";
   { t with epoch_length }

@@ -143,6 +143,15 @@ val default : t
 val hsim : t -> Hft_sim.Time.t
 (** [hv_entry_exit + hv_work] = 15.12 us with defaults. *)
 
+val lookahead : t -> Hft_sim.Time.t
+(** The least delay with which one node's event handler can schedule
+    an event that touches another node: the smallest of the link's
+    per-message overhead (every frame pays it before it arrives) and
+    the disk's read and write latencies (a completion is untagged, so
+    it touches every node).  60 us with defaults.  Derived from the
+    fields above, not a knob: {!Hypervisor.slice_fuel} lets a VM's
+    slice run this far past another node's next event. *)
+
 val with_epoch_length : t -> int -> t
 val with_protocol : t -> protocol -> t
 val with_link : t -> Hft_net.Link.t -> t

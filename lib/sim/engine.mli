@@ -42,18 +42,46 @@ val after :
 (** [after t d f] is [at t (Time.add (now t) d) f]. *)
 
 val cancel : t -> handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a
-    no-op. *)
+(** Remove the event from the queue, in O(log n).  Cancelling an
+    already-fired or already-cancelled event is a no-op. *)
 
 val is_pending : t -> handle -> bool
 
 val next_time : t -> Time.t option
-(** Time of the earliest pending event, if any.  Used by the
-    bare-metal executor to bound instruction bursts so asynchronous
-    interrupts are delivered at the right instruction boundary. *)
+(** Time of the earliest pending event, if any (the bare-metal
+    executor idles a waiting guest until then). *)
 
 val pending : t -> int
-(** Number of live (non-cancelled) scheduled events. *)
+(** Number of scheduled events that have neither fired nor been
+    cancelled: the queue's length. *)
+
+(** {2 Per-actor lookahead}
+
+    A simulated processor runs a slice of guest instructions at once
+    and schedules a [stop] event at the virtual time the slice ends.
+    Its state is then ahead of the clock, which is only sound if no
+    event that can touch that state fires before the [stop]. *)
+
+val horizon : t -> actor:string -> lookahead:Time.t -> Time.t option
+(** The earliest time an event can touch [actor]'s state: the earlier
+    of the earliest pending event tagged [actor] or untagged, and the
+    earliest pending event of any other actor plus [lookahead] (the
+    least delay with which one actor's handler schedules events for
+    another).  [None] on an empty queue.  With [lookahead] zero this is
+    {!next_time}.  The cost grows with the number of pending events
+    earlier than the result, not with the queue's length. *)
+
+val reserve : t -> actor:string -> lookahead:Time.t -> Time.t -> unit
+(** [reserve t ~actor ~lookahead until] records that [actor]'s
+    in-flight slice has advanced its state to [until], capped at
+    [horizon t ~actor ~lookahead] (a slice that had to run one
+    instruction past its horizon claims nothing beyond it).  Until the
+    clock reaches that time, dispatching an event tagged [actor] or an
+    untagged one raises [Failure] with a message starting
+    ["Engine: lookahead violation"]: such an event would see the
+    actor's state from the future.  The check costs one time comparison
+    per reserving actor on every dispatch.  A later [reserve] for the
+    same actor replaces the earlier one. *)
 
 val step : t -> bool
 (** Dispatch the single earliest event.  Returns [false] when the
@@ -64,7 +92,7 @@ val step : t -> bool
     By default same-instant events fire in scheduling order (the seq
     tie-break above).  A model checker can install a scheduler to
     override that choice: before every dispatch the engine collects
-    all co-enabled events — the live events sharing the earliest
+    all co-enabled events — the pending events sharing the earliest
     pending instant, presented in scheduling order — and asks the hook
     which fires first.  Returning [0] reproduces the default order
     exactly; the remaining events stay queued and are re-offered on
@@ -95,7 +123,7 @@ val set_observer : t -> (Time.t -> label:string -> actor:string -> unit) -> unit
 val clear_observer : t -> unit
 
 val pending_fingerprint : t -> int
-(** Order-insensitive digest of the live pending events, hashing each
+(** Order-insensitive digest of the pending events, hashing each
     as (delay from now, actor, label) — sequence numbers and absolute
     times are excluded so runs that reach the same state by different
     interleavings hash alike.  Part of the checker's state

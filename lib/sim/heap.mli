@@ -3,12 +3,21 @@
     Elements are ordered by a caller-supplied comparison.  The heap is
     a plain array-backed structure with O(log n) push/pop; it is kept
     separate from {!Engine} so that its invariants can be tested in
-    isolation and reused (the disk model uses one for pending
-    operations). *)
+    isolation.
+
+    A heap made with {!create_indexed} reports every element's array
+    slot to the caller as it moves, so the caller can keep the slot on
+    the element and remove it from the middle with {!remove} in
+    O(log n) — the engine's eager cancellation. *)
 
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
+
+val create_indexed : cmp:('a -> 'a -> int) -> index:('a -> int -> unit) -> 'a t
+(** Like {!create}, but [index x i] is called whenever [x] lands in
+    slot [i], and [index x (-1)] when [x] leaves the heap (popped,
+    removed or cleared). *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
@@ -24,10 +33,17 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
+val remove : 'a t -> int -> unit
+(** [remove t i] removes the element in slot [i] (as reported by the
+    [index] callback).
+    @raise Invalid_argument if [i] is not an occupied slot. *)
 
-val to_list : 'a t -> 'a list
-(** Snapshot of the contents, sorted ascending by the heap's
-    comparison (smallest first).  The heap itself is not modified.
-    Callers that iterate the pending set — the engine's state
-    fingerprint, tests — rely on this order being canonical. *)
+val iter_pruned : 'a t -> ('a -> bool) -> unit
+(** [iter_pruned t f] calls [f] on elements top-down from the
+    smallest, and visits the elements below [x] only when [f x] is
+    [true].  Every element orders at or after the ones above it, so
+    returning [false] once [x] is past a bound skips everything behind
+    it: a search for the elements before a bound costs the number of
+    such elements, not the heap's size. *)
+
+val clear : 'a t -> unit

@@ -37,7 +37,7 @@ let hv_crash_fixpoint () =
   let r = explore "hv-crash" ~variant:Scenarios.correct in
   Alcotest.(check bool) "fixpoint" true r.Checker.r_complete;
   Alcotest.(check int) "no violations" 0 (List.length r.Checker.r_violations);
-  Alcotest.(check int) "states pinned" 952 r.Checker.r_stats.Checker.states
+  Alcotest.(check int) "states pinned" 396 r.Checker.r_stats.Checker.states
 
 (* Observability neutrality: arming the guest hot-spot profiler
    (which recompiles translated blocks with counting prologues and
@@ -67,11 +67,11 @@ let profiling_neutral () =
         (name ^ " states unchanged under profiling")
         states r.Checker.r_stats.Checker.states)
     [
-      ("handoff", 618);
-      ("crash-write", 2998);
-      ("crash-loss", 3887);
-      ("reintegration-loss", 2819);
-      ("hv-crash", 952);
+      ("handoff", 201);
+      ("crash-write", 700);
+      ("crash-loss", 1385);
+      ("reintegration-loss", 1151);
+      ("hv-crash", 396);
     ]
 
 (* PR 1's failover-during-reintegration-snapshot bug, pinned

@@ -657,6 +657,50 @@ let incremental_hashing_tests =
           (st.Stats.pages_skipped > st.Stats.pages_hashed));
   ]
 
+(* The lookahead contract behind per-node VM slicing, checked in the
+   production path: one node's handler may schedule an event for
+   another only [Params.lookahead] or more ahead.  A backup-side probe
+   every 7 us schedules a primary-tagged no-op; at the full lookahead
+   the run is unchanged, at 1 ns the no-op lands inside the primary's
+   in-flight slice and the run must stop with the check's message
+   rather than finish on state from the primary's future. *)
+let lookahead_tests =
+  let open Alcotest in
+  let module Engine = Hft_sim.Engine in
+  let module Time = Hft_sim.Time in
+  let w = Workload.dhrystone ~iterations:1500 in
+  let run_probed delay =
+    let sys = System.create ~params:small_params ~workload:w () in
+    let engine = System.engine sys in
+    let rec probe () =
+      ignore
+        (Engine.after engine ~label:"probe" ~actor:"backup" (Time.of_us 7)
+           (fun () ->
+             ignore
+               (Engine.after engine ~label:"poke" ~actor:"primary" delay ignore);
+             if not (Hypervisor.halted (System.primary sys)) then probe ()))
+    in
+    probe ();
+    System.run sys
+  in
+  [
+    test_case "events that respect the lookahead change nothing" `Quick
+      (fun () ->
+        let _, plain = run_sys w in
+        let o = run_probed (Params.lookahead small_params) in
+        check_lockstep "probed" o;
+        check int "same virtual time" (Time.to_ns plain.System.time)
+          (Time.to_ns o.System.time);
+        check bool "same results" true (o.System.results = plain.System.results));
+    test_case "an event inside the primary's slice fails the run" `Quick
+      (fun () ->
+        match run_probed (Time.of_ns 1) with
+        | _ -> fail "the run finished despite a lookahead violation"
+        | exception Failure msg ->
+          check bool msg true
+            (String.starts_with ~prefix:"Engine: lookahead violation" msg));
+  ]
+
 let () =
   Alcotest.run "hft_core"
     [
@@ -671,6 +715,7 @@ let () =
       ("messaging", messaging_tests);
       ("reproducibility", reproducibility_tests);
       ("api-edges", api_edge_tests);
+      ("lookahead", lookahead_tests);
       ( "random-lockstep",
         [
           QCheck_alcotest.to_alcotest random_lockstep_prop;

@@ -55,35 +55,6 @@ let heap_tests =
         check bool "empty" true (Heap.is_empty h));
   ]
 
-let heap_to_list_tests =
-  let open Alcotest in
-  [
-    test_case "to_list is sorted and non-destructive" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        let l = [ 5; 1; 4; 1; 3; 9; 2 ] in
-        List.iter (Heap.push h) l;
-        check (list int) "sorted snapshot" (List.sort Int.compare l)
-          (Heap.to_list h);
-        check int "heap untouched" (List.length l) (Heap.length h);
-        check (option int) "min still poppable" (Some 1) (Heap.pop h));
-    test_case "to_list of empty heap" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        check (list int) "empty" [] (Heap.to_list h));
-  ]
-
-let heap_to_list_property =
-  (* The canonical-order contract the engine fingerprint relies on:
-     a snapshot is always ascending, whatever the push order. *)
-  let prop l =
-    let h = Heap.create ~cmp:Int.compare in
-    List.iter (Heap.push h) l;
-    Heap.to_list h = List.sort Int.compare l
-    && Heap.length h = List.length l
-  in
-  QCheck.Test.make ~name:"to_list sorted ascending" ~count:200
-    QCheck.(list int)
-    prop
-
 let heap_property =
   let prop l =
     let h = Heap.create ~cmp:Int.compare in
@@ -95,6 +66,46 @@ let heap_property =
   in
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
+    prop
+
+(* Removal from the middle, the engine's eager cancellation: push
+   everything, remove a chosen subset by the slots the index callback
+   reported, and the rest still drains in order with every removed
+   element told it left. *)
+type slotted = { v : int; mutable slot : int }
+
+let heap_remove_property =
+  let prop (l, picks) =
+    let h =
+      Heap.create_indexed
+        ~cmp:(fun a b -> Int.compare a.v b.v)
+        ~index:(fun x i -> x.slot <- i)
+    in
+    let xs = List.map (fun v -> { v; slot = -1 }) l in
+    List.iter (Heap.push h) xs;
+    let arr = Array.of_list xs in
+    let removed =
+      List.filter_map
+        (fun k ->
+          if arr = [||] then None
+          else
+            let x = arr.(k mod Array.length arr) in
+            if x.slot < 0 then None
+            else begin
+              Heap.remove h x.slot;
+              Some x
+            end)
+        picks
+    in
+    let rec drain acc =
+      match Heap.pop h with None -> List.rev acc | Some x -> drain (x.v :: acc)
+    in
+    let kept = List.filter (fun x -> not (List.memq x removed)) xs in
+    List.for_all (fun x -> x.slot = -1) removed
+    && drain [] = List.sort Int.compare (List.map (fun x -> x.v) kept)
+  in
+  QCheck.Test.make ~name:"remove by slot keeps heap order" ~count:300
+    QCheck.(pair (list small_int) (list small_nat))
     prop
 
 let rng_tests =
@@ -331,18 +342,258 @@ let scheduler_tests =
         check int "hook saw only the first step" 1 !calls);
   ]
 
+(* Model-based check of the queue with eager cancellation: random
+   [at]/[cancel]/[step]/[run_until] sequences, with and without a
+   scheduler hook, against a sorted-list model.  After every operation
+   the dispatch log, [pending], [next_time] and [horizon] agree with
+   the model, and [pending_fingerprint] equals that of an engine that
+   never saw the cancelled events. *)
+type op = At of int * int | Cancel of int | Step | Run_until of int
+
+let actors = [| ""; "p"; "b" |]
+
+let pp_op = function
+  | At (d, a) -> Printf.sprintf "at+%d/%S" d actors.(a)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run_until+%d" d
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun d a -> At (d, a)) (int_bound 20) (int_bound 2));
+        (2, map (fun k -> Cancel k) (int_bound 30));
+        (2, return Step);
+        (1, map (fun d -> Run_until d) (int_bound 15));
+      ])
+
+(* a pending event as the model sees it *)
+type mev = { m_time : int; m_seq : int; m_actor : string }
+
+let model_horizon model ~actor ~lookahead =
+  List.fold_left
+    (fun acc m ->
+      let b =
+        if m.m_actor = "" || m.m_actor = actor then m.m_time
+        else m.m_time + lookahead
+      in
+      match acc with Some x when x <= b -> acc | _ -> Some b)
+    None model
+
+let fingerprint_of ~now model =
+  let e = Engine.create () in
+  Engine.run_until e (Time.of_ns now);
+  List.iter
+    (fun m ->
+      ignore
+        (Engine.at e ~label:(string_of_int (m.m_time mod 3)) ~actor:m.m_actor
+           (Time.of_ns m.m_time) (fun () -> ())))
+    model;
+  Engine.pending_fingerprint e
+
+let engine_model_property =
+  let prop (hooked, ops) =
+    let e = Engine.create () in
+    let model = ref [] (* pending, any order *) in
+    let handles = ref [] (* (handle, seq), newest first *) in
+    let next_seq = ref 0 in
+    let fired = ref [] and expected = ref [] in
+    let picks = ref 0 and batches_ok = ref true in
+    (* the model runs ahead of the engine in each operation and queues
+       the batches the hook should then be offered *)
+    let batches = Queue.create () in
+    let sorted () =
+      List.sort
+        (fun a b -> compare (a.m_time, a.m_seq) (b.m_time, b.m_seq))
+        !model
+    in
+    (* the model's dispatch: the hook picks [picks mod len] of the
+       earliest instant's batch, otherwise the batch head *)
+    let model_step () =
+      match sorted () with
+      | [] -> ()
+      | first :: _ as all ->
+        let batch = List.filter (fun m -> m.m_time = first.m_time) all in
+        Queue.add (List.map (fun m -> m.m_seq) batch) batches;
+        let m =
+          if hooked then List.nth batch (!picks mod List.length batch)
+          else first
+        in
+        model := List.filter (fun x -> x.m_seq <> m.m_seq) !model;
+        expected := m.m_seq :: !expected
+    in
+    if hooked then
+      Engine.set_scheduler e (fun batch ->
+          if
+            Queue.take_opt batches
+            <> Some (Array.to_list (Array.map (fun c -> c.Engine.c_seq) batch))
+          then batches_ok := false;
+          !picks mod Array.length batch);
+    let ok = ref true in
+    let check_state () =
+      let now = Time.to_ns (Engine.now e) in
+      let next =
+        match sorted () with [] -> None | m :: _ -> Some m.m_time
+      in
+      let horizons_ok =
+        List.for_all
+          (fun actor ->
+            List.for_all
+              (fun la ->
+                Option.map Time.to_ns
+                  (Engine.horizon e ~actor ~lookahead:(Time.of_ns la))
+                = model_horizon !model ~actor ~lookahead:la)
+              [ 0; 3; 50 ])
+          [ ""; "p"; "b" ]
+      in
+      if not hooked then Queue.clear batches;
+      ok :=
+        !ok && !batches_ok && Queue.is_empty batches
+        && Engine.pending e = List.length !model
+        && Option.map Time.to_ns (Engine.next_time e) = next
+        && horizons_ok
+        && Engine.pending_fingerprint e = fingerprint_of ~now !model
+        && !fired = !expected
+    in
+    List.iter
+      (fun op ->
+        (match op with
+        | At (d, a) ->
+          let time = Time.to_ns (Engine.now e) + d in
+          let seq = !next_seq in
+          incr next_seq;
+          let h =
+            Engine.at e ~label:(string_of_int (time mod 3)) ~actor:actors.(a)
+              (Time.of_ns time) (fun () -> fired := seq :: !fired)
+          in
+          handles := (h, seq) :: !handles;
+          model := { m_time = time; m_seq = seq; m_actor = actors.(a) } :: !model
+        | Cancel k -> (
+          match !handles with
+          | [] -> ()
+          | hs ->
+            let h, seq = List.nth hs (k mod List.length hs) in
+            Engine.cancel e h;
+            model := List.filter (fun m -> m.m_seq <> seq) !model;
+            if Engine.is_pending e h then ok := false)
+        | Step ->
+          let had = !model <> [] in
+          model_step ();
+          if Engine.step e <> had then ok := false;
+          incr picks
+        | Run_until d ->
+          let deadline = Time.to_ns (Engine.now e) + d in
+          let rec drain () =
+            match sorted () with
+            | m :: _ when m.m_time <= deadline ->
+              model_step ();
+              drain ()
+            | _ -> ()
+          in
+          drain ();
+          Engine.run_until e (Time.of_ns deadline));
+        check_state ())
+      ops;
+    !ok
+  in
+  QCheck.Test.make ~name:"engine matches a sorted-list model" ~count:300
+    QCheck.(
+      pair bool
+        (make
+           ~print:(fun l -> String.concat "; " (List.map pp_op l))
+           Gen.(list_size (int_range 0 40) op_gen)))
+    prop
+
+let horizon_tests =
+  let open Alcotest in
+  let la = Time.of_ns 25 in
+  let noop () = () in
+  let horizon e actor lookahead =
+    Option.map Time.to_ns (Engine.horizon e ~actor ~lookahead)
+  in
+  [
+    test_case "own events bound the slice" `Quick (fun () ->
+        let e = Engine.create () in
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 10) noop);
+        ignore (Engine.at e ~actor:"b" (Time.of_ns 50) noop);
+        check (option int) "own" (Some 10) (horizon e "p" la));
+    test_case "actorless events bound the slice" `Quick (fun () ->
+        let e = Engine.create () in
+        ignore (Engine.at e (Time.of_ns 20) noop);
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 40) noop);
+        check (option int) "untagged" (Some 20) (horizon e "p" la));
+    test_case "another actor's events bound it at time + lookahead" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        ignore (Engine.at e ~actor:"b" (Time.of_ns 10) noop);
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 100) noop);
+        check (option int) "other + lookahead" (Some 35) (horizon e "p" la);
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 30) noop);
+        check (option int) "own earlier still wins" (Some 30)
+          (horizon e "p" la));
+    test_case "cancelled events are ignored" `Quick (fun () ->
+        let e = Engine.create () in
+        let h = Engine.at e ~actor:"p" (Time.of_ns 10) noop in
+        let g = Engine.at e (Time.of_ns 12) noop in
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 40) noop);
+        Engine.cancel e h;
+        Engine.cancel e g;
+        check (option int) "skips both" (Some 40) (horizon e "p" la);
+        check int "pending" 1 (Engine.pending e));
+    test_case "an empty queue gives None" `Quick (fun () ->
+        let e = Engine.create () in
+        check (option int) "fresh" None (horizon e "p" la);
+        ignore (Engine.at e ~actor:"b" (Time.of_ns 5) noop);
+        Engine.run e;
+        check (option int) "drained" None (horizon e "p" la));
+    test_case "lookahead 0 equals next_time" `Quick (fun () ->
+        let e = Engine.create () in
+        List.iter
+          (fun (t, actor) -> ignore (Engine.at e ~actor (Time.of_ns t) noop))
+          [ (30, "b"); (70, "p"); (55, ""); (12, "b"); (90, "x") ];
+        let next = Option.map Time.to_ns (Engine.next_time e) in
+        List.iter
+          (fun actor ->
+            check (option int) actor next (horizon e actor Time.zero))
+          [ ""; "p"; "b"; "x"; "nobody" ]);
+    test_case "an event inside a reserved slice fails the run" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        ignore (Engine.at e ~label:"late" ~actor:"b" (Time.of_ns 10) (fun () ->
+            ignore (Engine.at e ~label:"early" ~actor:"p" (Time.of_ns 11) noop)));
+        (* p's slice runs to 30: b's event bounds it only at 10 + 25 *)
+        Engine.reserve e ~actor:"p" ~lookahead:la (Time.of_ns 30);
+        match Engine.run e with
+        | () -> fail "dispatched an event inside a reserved slice"
+        | exception Failure msg ->
+          check bool msg true
+            (String.starts_with ~prefix:"Engine: lookahead violation" msg));
+    test_case "a reservation stops at the horizon" `Quick (fun () ->
+        let e = Engine.create () in
+        let fired = ref 0 in
+        ignore (Engine.at e ~actor:"p" (Time.of_ns 5) (fun () -> incr fired));
+        ignore (Engine.at e ~actor:"b" (Time.of_ns 6) (fun () -> incr fired));
+        (* a one-instruction minimum ran p to 20, past its own event *)
+        Engine.reserve e ~actor:"p" ~lookahead:la (Time.of_ns 20);
+        Engine.run e;
+        check int "both fired" 2 !fired);
+  ]
+
 let () =
   Alcotest.run "hft_sim"
     [
       ("time", time_tests);
       ( "heap",
-        heap_tests @ heap_to_list_tests
+        heap_tests
         @ [
             QCheck_alcotest.to_alcotest heap_property;
-            QCheck_alcotest.to_alcotest heap_to_list_property;
+            QCheck_alcotest.to_alcotest heap_remove_property;
           ] );
       ("rng", rng_tests);
       ("engine", engine_tests);
+      ( "horizon",
+        horizon_tests @ [ QCheck_alcotest.to_alcotest engine_model_property ] );
       ( "scheduler",
         scheduler_tests
         @ [ QCheck_alcotest.to_alcotest scheduler_permutation_property ] );
