@@ -12,40 +12,46 @@ open Hft_core
 
 (* ---------- shared argument parsing ---------- *)
 
-let workload_of_string s =
-  match s with
-  | "cpu" -> Ok (Hft_guest.Workload.dhrystone ~iterations:20_000)
-  | "write" -> Ok (Hft_guest.Workload.disk_write ~ops:24 ())
-  | "read" -> Ok (Hft_guest.Workload.disk_read ~ops:24 ())
-  | "mixed" -> Ok (Hft_guest.Workload.mixed ~compute:100 ~ops:12 ())
-  | "clock" -> Ok (Hft_guest.Workload.clock_sampler ~samples:2_000)
-  | "timer" -> Ok (Hft_guest.Workload.timer_tick ~period_us:1000 ~ticks:50)
-  | "hello" -> Ok (Hft_guest.Workload.console_hello ~text:"hello from the replicated machine\n")
-  | "probe" -> Ok Hft_guest.Workload.probe_priv
-  | "masked" -> Ok (Hft_guest.Workload.masked_io ~ops:4)
-  | "queued" -> Ok (Hft_guest.Workload.queued_io ~pairs:8)
-  | "server" -> Ok (Hft_guest.Workload.server ~requests:10 ~period_us:3000)
-  | _ ->
-    Error
-      (`Msg
-        (Printf.sprintf
-           "unknown workload %S \
-            (cpu|write|read|mixed|clock|timer|hello|probe|masked|queued|server)"
-           s))
+(* Every named workload, in the order the help text and [lint --all]
+   list them. *)
+let workloads =
+  let open Hft_guest.Workload in
+  [
+    ("cpu", dhrystone ~iterations:20_000);
+    ("write", disk_write ~ops:24 ());
+    ("read", disk_read ~ops:24 ());
+    ("mixed", mixed ~compute:100 ~ops:12 ());
+    ("clock", clock_sampler ~samples:2_000);
+    ("timer", timer_tick ~period_us:1000 ~ticks:50);
+    ("hello", console_hello ~text:"hello from the replicated machine\n");
+    ("probe", probe_priv);
+    ("masked", masked_io ~ops:4);
+    ("queued", queued_io ~pairs:8);
+    ("server", server ~requests:10 ~period_us:3000);
+  ]
 
 let workload_conv =
   Arg.conv
-    ( workload_of_string,
+    ( (fun s ->
+        match List.assoc_opt s workloads with
+        | Some w -> Ok w
+        | None ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown workload %S (%s)" s
+                 (String.concat "|" (List.map fst workloads))))),
       fun fmt w -> Format.pp_print_string fmt w.Hft_guest.Workload.name )
 
 let workload_arg =
+  let names = List.rev (List.map fst workloads) in
   Arg.(
     value
-    & opt workload_conv (Hft_guest.Workload.dhrystone ~iterations:20_000)
+    & opt workload_conv (List.assoc "cpu" workloads)
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:
-          "Workload: cpu, write, read, mixed, clock, timer, hello, probe, \
-           masked or queued.")
+          (Printf.sprintf "Workload: %s or %s."
+             (String.concat ", " (List.rev (List.tl names)))
+             (List.hd names)))
 
 let epoch_arg =
   Arg.(
@@ -106,13 +112,9 @@ let mechanism_arg =
 let backend_conv =
   Arg.conv
     ( (fun s ->
-        match Params.backend_of_name s with
-        | Some b -> Ok b
-        | None ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "unknown backend %S (interp|threaded)" s))),
+        Option.to_result
+          ~none:(`Msg (Printf.sprintf "unknown backend %S (interp|threaded)" s))
+          (Params.backend_of_name s)),
       Params.pp_backend )
 
 let backend_arg =
@@ -125,16 +127,54 @@ let backend_arg =
            or threaded (manifest-certified superblocks pre-decoded into \
            direct-threaded closure chains, interpreter on the cold path).")
 
-let params_of ?(backend = Params.Interp) ~epoch ~protocol ~link ~mechanism () =
-  {
-    (Params.with_link
-       (Params.with_protocol (Params.with_epoch_length Params.default epoch)
-          protocol)
-       link)
-    with
-    Params.epoch_mechanism = mechanism;
-    exec_backend = backend;
-  }
+(* The replicated system's configuration, one term for every subcommand
+   that builds one.  Protocol and link are always flags; a subcommand
+   without [epoch], [mechanism] or [backend] keeps [Params.default]'s
+   value for it. *)
+let params_term ?(epoch = false) ?(mechanism = false) ?(backend = false) () =
+  let d = Params.default in
+  let flag present arg default = if present then arg else Term.const default in
+  Term.(
+    const (fun epoch_length protocol link epoch_mechanism exec_backend ->
+        {
+          (Params.with_epoch_length d epoch_length) with
+          Params.protocol;
+          link;
+          epoch_mechanism;
+          exec_backend;
+        })
+    $ flag epoch epoch_arg d.Params.epoch_length
+    $ protocol_arg $ link_arg
+    $ flag mechanism mechanism_arg d.Params.epoch_mechanism
+    $ flag backend backend_arg d.Params.exec_backend)
+
+(* ---------- output ---------- *)
+
+exception Unwritable of string
+
+(* The one output sink: write [doc] to [path], [-] meaning stdout.
+   [announce] runs after a file write only.  An unwritable path raises
+   [Unwritable], which {!term_of_action} turns into a command-line
+   error. *)
+let write_output ?(announce = ignore) path doc =
+  if path = "-" then print_string doc
+  else begin
+    (try Out_channel.with_open_text path (fun oc -> output_string oc doc)
+     with Sys_error m -> raise (Unwritable m));
+    announce path
+  end
+
+let wrote path = Format.printf "wrote %s@." path
+
+(* The term of a subcommand that writes output: its action takes a
+   final [()] and returns a [Term.ret] value; an output path the sink
+   cannot open exits 124 with a one-line message, like an unreadable
+   input. *)
+let term_of_action t =
+  Term.(
+    ret
+      (const (fun act -> try act () with Unwritable m -> `Error (false, m))
+      $ t))
 
 (* ---------- observability artifacts ---------- *)
 
@@ -144,16 +184,10 @@ module Campaign = Hft_harness.Campaign
 let hv_fault_conv =
   Arg.conv
     ( (fun s ->
-        match Campaign.hv_fault_spec_of_string s with
-        | Ok f -> Ok f
-        | Error m -> Error (`Msg m)),
+        Campaign.hv_fault_spec_of_string s
+        |> Result.map_error (fun m -> `Msg m)),
       fun fmt f ->
         Format.pp_print_string fmt (Campaign.hv_fault_spec_to_string f) )
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 let trace_out_arg =
   Arg.(
@@ -164,13 +198,19 @@ let trace_out_arg =
           "Write the run's protocol timeline as Chrome trace-event JSON to \
            FILE (loadable in ui.perfetto.dev or chrome://tracing).")
 
+(* A recorder only when [--trace-out] asked for a timeline. *)
+let trace_recorder trace_out =
+  if trace_out <> None then Obs.Recorder.create () else Obs.Recorder.null
+
 (* Shared post-run artifact emission: Chrome trace, metrics JSON,
    span-quantile table, and — whenever a crash was recorded — the
    failover post-mortem timeline.  [registry] is the aggregation
    registry tapped into the recorder at creation: its span quantiles,
    counters and windows go into the hftsim-metrics/2 artifact and,
    under [--metrics], the span and windowed-summary tables.  All of
-   them survive ring wraparound because the tap saw every event. *)
+   them survive ring wraparound because the tap saw every event.
+   [postmortems:false] leaves out the wraparound warning and the
+   post-mortems; [quiet] also the "written" note. *)
 let window_rows registry =
   List.filter_map
     (fun (w : Obs.Metrics.window) ->
@@ -189,31 +229,35 @@ let window_rows registry =
           ])
     (Obs.Metrics.windows registry)
 
-let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
-    ?registry obs =
+let emit_artifacts ?(quiet = false) ?(postmortems = true) ?(trace_out = None)
+    ?(metrics = false) ?(metrics_out = None) ?registry obs =
   if Obs.Recorder.enabled obs then begin
     let entries = Obs.Recorder.entries obs in
     let dropped = Obs.Recorder.dropped obs in
-    if dropped > 0 then
+    if postmortems && dropped > 0 then
       Format.printf
         "warning: ring wraparound discarded %d oldest event(s); the timeline \
          and post-mortems below are incomplete (quantiles and windowed \
          aggregates are not)@."
         dropped;
-    (match trace_out with
-    | Some path ->
-      write_file path (Obs.Export.chrome entries);
-      Format.printf "trace written  : %s (chrome trace-event JSON)@." path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_output path (Obs.Export.chrome entries)
+          ~announce:(fun path ->
+            if not quiet then
+              Format.printf "trace written  : %s (chrome trace-event JSON)@."
+                path))
+      trace_out;
     (match registry with
     | None -> ()
     | Some reg ->
-      (match metrics_out with
-      | Some path ->
-        write_file path (Obs.Export.metrics_json ~dropped reg);
-        Format.printf "metrics written: %s (%s)@." path
-          Obs.Export.metrics_schema
-      | None -> ());
+      Option.iter
+        (fun path ->
+          write_output path (Obs.Export.metrics_json ~dropped reg)
+            ~announce:(fun path ->
+              Format.printf "metrics written: %s (%s)@." path
+                Obs.Export.metrics_schema))
+        metrics_out;
       if metrics then begin
         Hft_harness.Report.span_metrics reg;
         let rows = window_rows reg in
@@ -226,8 +270,10 @@ let emit_artifacts ?(trace_out = None) ?(metrics = false) ?(metrics_out = None)
               ]
             rows
       end);
-    Hft_harness.Report.failover_postmortem entries;
-    Hft_harness.Report.recovery_postmortem entries
+    if postmortems then begin
+      Hft_harness.Report.failover_postmortem entries;
+      Hft_harness.Report.recovery_postmortem entries
+    end
   end
 
 (* ---------- run ---------- *)
@@ -243,22 +289,50 @@ let print_outcome (o : System.outcome) =
     o.System.primary_stats.Stats.epochs;
   Format.printf "messages       : %d (%d bytes)@." o.System.messages_sent
     o.System.bytes_sent;
-  Hft_harness.Report.channel_hardening
-    [ o.System.primary_stats; o.System.backup_stats ];
-  Hft_harness.Report.recovery
-    [ o.System.primary_stats; o.System.backup_stats ];
-  Hft_harness.Report.host_hashing
-    [ o.System.primary_stats; o.System.backup_stats ];
-  Hft_harness.Report.certification
-    [ o.System.primary_stats; o.System.backup_stats ];
-  Hft_harness.Report.translation
-    [ o.System.primary_stats; o.System.backup_stats ];
+  let stats = [ o.System.primary_stats; o.System.backup_stats ] in
+  Hft_harness.Report.channel_hardening stats;
+  Hft_harness.Report.recovery stats;
+  Hft_harness.Report.host_hashing stats;
+  Hft_harness.Report.certification stats;
+  Hft_harness.Report.translation stats;
   Format.printf "disk history   : %s@."
     (if o.System.disk_consistent then "single-processor consistent"
      else "INCONSISTENT");
   List.iter (fun e -> Format.printf "  error: %s@." e) o.System.disk_errors;
   if o.System.console <> "" then
     Format.printf "console        : %S@." o.System.console
+
+(* The one replicated-run path of [run] and [trace]: a recorder tapped
+   into a fresh metrics registry (unless [record] is off), the system,
+   the injected faults and the run.  Unless [quiet], [preamble] prints
+   what precedes the outcome block. *)
+let replicated ?(dispatch = false) ?(quiet = false) ?(hv_faults = [])
+    ?reintegrate_ms ~record ~params ~workload ~crash_ms preamble =
+  let registry = Obs.Metrics.create () in
+  let obs =
+    if record then
+      Obs.Recorder.create ~dispatch ~tap:(Obs.Metrics.tap registry) ()
+    else Obs.Recorder.null
+  in
+  let sys = System.create ~params ~obs ~workload () in
+  Option.iter
+    (fun ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms))
+    crash_ms;
+  List.iter
+    (fun (f : Campaign.hv_fault_spec) ->
+      System.hv_fault_on_epoch sys ~target:f.Campaign.hf_target
+        ~kind:f.Campaign.hf_kind f.Campaign.hf_epoch)
+    hv_faults;
+  Option.iter
+    (fun ms ->
+      System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms ms))
+    reintegrate_ms;
+  let o = System.run sys in
+  if not quiet then begin
+    preamble obs;
+    print_outcome o
+  end;
+  (registry, obs)
 
 let run_cmd =
   let bare =
@@ -312,9 +386,8 @@ let run_cmd =
              corrupt-rtx; the fault strikes mid-way through EPOCH and is \
              healed by an in-place microreboot (ReHype extension).")
   in
-  let action workload epoch protocol link mechanism backend bare crash_ms
-      reintegrate_ms hv_fault_list trace_out metrics metrics_out =
-    let params = params_of ~backend ~epoch ~protocol ~link ~mechanism () in
+  let action workload params bare crash_ms reintegrate_ms hv_faults trace_out
+      metrics metrics_out () =
     if bare then begin
       let b = Bare.create ~params ~workload () in
       Bare.init_disk_blocks b;
@@ -337,41 +410,29 @@ let run_cmd =
         Format.printf "console        : %S@." o.Bare.console
     end
     else begin
-      let registry = Obs.Metrics.create () in
-      let obs =
-        if
-          trace_out <> None || metrics || metrics_out <> None
-          || crash_ms <> None || hv_fault_list <> []
-        then Obs.Recorder.create ~tap:(Obs.Metrics.tap registry) ()
-        else Obs.Recorder.null
+      let record =
+        trace_out <> None || metrics || metrics_out <> None
+        || crash_ms <> None || hv_faults <> []
       in
-      let sys = System.create ~params ~obs ~workload () in
-      (match crash_ms with
-      | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
-      | None -> ());
-      List.iter
-        (fun (f : Campaign.hv_fault_spec) ->
-          System.hv_fault_on_epoch sys ~target:f.Campaign.hf_target
-            ~kind:f.Campaign.hf_kind f.Campaign.hf_epoch)
-        hv_fault_list;
-      (match reintegrate_ms with
-      | Some ms ->
-        System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms ms)
-      | None -> ());
-      Format.printf "replicated system (%a)@." Params.pp params;
-      print_outcome (System.run sys);
+      let registry, obs =
+        replicated ~record ~params ~workload ~crash_ms ~hv_faults
+          ?reintegrate_ms (fun _ ->
+            Format.printf "replicated system (%a)@." Params.pp params)
+      in
       emit_artifacts ~trace_out ~metrics ~metrics_out ~registry obs
-    end
+    end;
+    `Ok ()
   in
   let term =
     Term.(
-      const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
-      $ mechanism_arg $ backend_arg $ bare $ crash_ms $ reintegrate_ms
-      $ hv_fault_specs $ trace_out_arg $ metrics $ metrics_out)
+      const action $ workload_arg
+      $ params_term ~epoch:true ~mechanism:true ~backend:true ()
+      $ bare $ crash_ms $ reintegrate_ms $ hv_fault_specs $ trace_out_arg
+      $ metrics $ metrics_out)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload, bare or replicated.")
-    term
+    (term_of_action term)
 
 (* ---------- sweep ---------- *)
 
@@ -388,13 +449,10 @@ let sweep_cmd =
       & info [ "both-protocols" ]
           ~doc:"Sweep the original and the revised protocol.")
   in
-  let action workload epochs protocol link both =
-    let params =
-      params_of ~epoch:4096 ~protocol ~link
-        ~mechanism:Params.Recovery_register ()
-    in
+  let action workload epochs params both =
     let protocols =
-      if both then [ Params.Original; Params.Revised ] else [ protocol ]
+      if both then [ Params.Original; Params.Revised ]
+      else [ params.Params.protocol ]
     in
     let runs =
       Hft_harness.Scenario.sweep ~params ~epoch_lengths:epochs ~protocols
@@ -416,12 +474,13 @@ let sweep_cmd =
     Hft_harness.Report.table
       ~title:
         (Printf.sprintf "normalized performance: %s on %s"
-           workload.Hft_guest.Workload.name link.Hft_net.Link.name)
+           workload.Hft_guest.Workload.name
+           params.Params.link.Hft_net.Link.name)
       ~header:[ "EL"; "protocol"; "time"; "NP" ]
       rows
   in
   let term =
-    Term.(const action $ workload_arg $ epochs $ protocol_arg $ link_arg $ both)
+    Term.(const action $ workload_arg $ epochs $ params_term () $ both)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -512,15 +571,13 @@ let trace_cmd =
             "Also record one event per simulation-engine dispatch \
              (verbose; shows the discrete-event schedule itself).")
   in
-  let action workload epoch protocol link lines crash_ms chrome jsonl metrics
-      validate dispatch =
+  let action workload params lines crash_ms chrome jsonl metrics validate
+      dispatch () =
     match validate with
     | Some path -> (
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      close_in ic;
-      match Obs.Export.validate contents with
+      match
+        Obs.Export.validate (In_channel.with_open_bin path In_channel.input_all)
+      with
       | Ok s ->
         Format.printf "%s: %a@." path Obs.Export.pp_summary s;
         if s.Obs.Export.drops > 0 then
@@ -532,61 +589,42 @@ let trace_cmd =
       | Error m -> `Error (false, Printf.sprintf "%s: %s" path m))
     | None ->
       let quiet = jsonl = Some "-" in
-      let params =
-        params_of ~epoch ~protocol ~link ~mechanism:Params.Recovery_register
-          ()
+      let registry, obs =
+        replicated ~dispatch ~quiet ~record:true ~params ~workload ~crash_ms
+          (fun obs ->
+            let entries = Obs.Recorder.entries obs in
+            let skip = max 0 (List.length entries - lines) in
+            if skip > 0 then
+              Format.printf "... (%d earlier events; %d recorded in total)@."
+                skip
+                (Obs.Recorder.total_recorded obs);
+            List.iteri
+              (fun i (e : Obs.Recorder.entry) ->
+                if i >= skip then
+                  Format.printf "%10.3fms %-8s %a@."
+                    (Hft_sim.Time.to_ms e.Obs.Recorder.time)
+                    e.Obs.Recorder.source Obs.Event.pp e.Obs.Recorder.ev)
+              entries;
+            Format.printf "...@.")
       in
-      let registry = Obs.Metrics.create () in
-      let obs =
-        Obs.Recorder.create ~dispatch ~tap:(Obs.Metrics.tap registry) ()
-      in
-      let sys = System.create ~params ~obs ~workload () in
-      (match crash_ms with
-      | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
-      | None -> ());
-      let o = System.run sys in
-      let entries = Obs.Recorder.entries obs in
-      if not quiet then begin
-        let skip = max 0 (List.length entries - lines) in
-        if skip > 0 then
-          Format.printf "... (%d earlier events; %d recorded in total)@." skip
-            (Obs.Recorder.total_recorded obs);
-        List.iteri
-          (fun i (e : Obs.Recorder.entry) ->
-            if i >= skip then
-              Format.printf "%10.3fms %-8s %a@."
-                (Hft_sim.Time.to_ms e.Obs.Recorder.time)
-                e.Obs.Recorder.source Obs.Event.pp e.Obs.Recorder.ev)
-          entries;
-        Format.printf "...@.";
-        print_outcome o
-      end;
-      (match chrome with
-      | Some path ->
-        write_file path (Obs.Export.chrome entries);
-        if not quiet then
-          Format.printf "trace written  : %s (chrome trace-event JSON)@." path
-      | None -> ());
-      (match jsonl with
-      | Some "-" ->
-        print_string
-          (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries)
-      | Some path ->
-        write_file path
-          (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs) entries);
-        if not quiet then
-          Format.printf "trace written  : %s (%s JSONL)@." path
-            Obs.Export.schema
-      | None -> ());
+      emit_artifacts ~quiet ~postmortems:false ~trace_out:chrome obs;
+      Option.iter
+        (fun path ->
+          write_output path
+            (Obs.Export.jsonl ~dropped:(Obs.Recorder.dropped obs)
+               (Obs.Recorder.entries obs))
+            ~announce:(fun path ->
+              Format.printf "trace written  : %s (%s JSONL)@." path
+                Obs.Export.schema))
+        jsonl;
       if metrics && not quiet then Hft_harness.Report.span_metrics registry;
       `Ok ()
   in
   let term =
     Term.(
-      ret
-        (const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
-       $ lines $ crash_ms $ chrome_arg $ jsonl_arg $ metrics_arg
-       $ validate_arg $ dispatch_arg))
+      const action $ workload_arg $ params_term ~epoch:true () $ lines
+      $ crash_ms $ chrome_arg $ jsonl_arg $ metrics_arg $ validate_arg
+      $ dispatch_arg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -595,7 +633,7 @@ let trace_cmd =
           it as a Chrome/Perfetto or JSONL artifact ($(b,--chrome), \
           $(b,--jsonl)), or validate an existing artifact \
           ($(b,--validate)).")
-    term
+    (term_of_action term)
 
 (* ---------- chaos ---------- *)
 
@@ -629,6 +667,9 @@ let print_trial (t : Campaign.trial) =
     | [] -> "PASS"
     | v :: _ -> "FAIL: " ^ v)
 
+let trial_sum f trials =
+  List.fold_left (fun acc (t : Campaign.trial) -> acc + f t) 0 trials
+
 (* Aggregate recovery-window quantiles plus a machine-readable summary
    of the whole campaign ("hftsim-chaos/1") for CI artifact upload. *)
 let recovery_window_hist trials =
@@ -642,7 +683,7 @@ let recovery_window_hist trials =
 let chaos_summary_json ~workload ~seed ~trials (s : Campaign.summary) =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let sum f = List.fold_left (fun acc t -> acc + f t) 0 s.Campaign.trials in
+  let sum f = trial_sum f s.Campaign.trials in
   let h = recovery_window_hist s.Campaign.trials in
   add "{\n";
   add "  \"schema\": \"hftsim-chaos/1\",\n";
@@ -670,18 +711,11 @@ let chaos_summary_json ~workload ~seed ~trials (s : Campaign.summary) =
   List.iteri
     (fun i ((t : Campaign.trial), shrunk) ->
       if i > 0 then add ",";
-      let esc s =
-        String.concat ""
-          (List.map
-             (function
-               | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-               | c -> String.make 1 c)
-             (List.init (String.length s) (String.get s)))
-      in
       add "\n    {\"index\": %d, \"violation\": \"%s\", \"flags\": \"%s\"}"
         t.Campaign.index
-        (esc (match t.Campaign.violations with v :: _ -> v | [] -> ""))
-        (esc (Campaign.flags shrunk)))
+        (Obs.Json.escape
+           (match t.Campaign.violations with v :: _ -> v | [] -> ""))
+        (Obs.Json.escape (Campaign.flags shrunk)))
     s.Campaign.failures;
   if s.Campaign.failures <> [] then add "\n  ";
   add "]\n}\n";
@@ -797,9 +831,9 @@ let chaos_cmd =
             "Write the campaign summary as machine-readable JSON (schema \
              hftsim-chaos/1) to PATH.")
   in
-  let action workload epoch protocol link backend seed trials loss dup corrupt
-      delay_us no_retransmit exact crash_epoch backup_crash_epoch reintegrate
-      no_shrink hv_faults hv_fault_list json trace_out =
+  let action workload params seed trials loss dup corrupt delay_us
+      no_retransmit exact crash_epoch backup_crash_epoch reintegrate no_shrink
+      hv_faults hv_fault_list json trace_out () =
     let bad_rate r = r < 0. || r >= 1. in
     if bad_rate loss || bad_rate dup || bad_rate corrupt || delay_us < 0 then
       `Error
@@ -807,10 +841,6 @@ let chaos_cmd =
           "fault rates must satisfy 0 <= rate < 1 and --delay-us must be >= 0"
         )
     else begin
-    let params =
-      params_of ~backend ~epoch ~protocol ~link
-        ~mechanism:Params.Recovery_register ()
-    in
     let params = Params.with_retransmit params (not no_retransmit) in
     let cfg =
       {
@@ -837,10 +867,7 @@ let chaos_cmd =
         }
       in
       let reference = Campaign.reference cfg in
-      let obs =
-        if trace_out <> None then Obs.Recorder.create ()
-        else Obs.Recorder.null
-      in
+      let obs = trace_recorder trace_out in
       let t = Campaign.run_trial ~obs cfg ~reference ~index:0 s in
       print_trial t;
       List.iter (fun v -> Format.printf "  violation: %s@." v)
@@ -866,17 +893,9 @@ let chaos_cmd =
       let nfail = List.length summary.Campaign.failures in
       Format.printf "@.%d/%d trials passed every invariant@."
         (trials - nfail) trials;
-      let hv_total =
-        List.fold_left
-          (fun acc (t : Campaign.trial) -> acc + t.Campaign.hv_injected)
-          0 summary.Campaign.trials
-      in
+      let sum f = trial_sum f summary.Campaign.trials in
+      let hv_total = sum (fun t -> t.Campaign.hv_injected) in
       if hv_total > 0 then begin
-        let sum f =
-          List.fold_left
-            (fun acc t -> acc + f t)
-            0 summary.Campaign.trials
-        in
         Format.printf
           "hv recovery    : %d faults, %d microreboots, %d ios + %d msgs \
            reconciled, %d escalations@."
@@ -893,29 +912,28 @@ let chaos_cmd =
             (Obs.Hist.count h) (Obs.Hist.p50_us h) (Obs.Hist.p99_us h)
             (Obs.Hist.max_us h)
       end;
-      (match json with
-      | Some path ->
-        write_file path
-          (chaos_summary_json ~workload:workload.Hft_guest.Workload.name
-             ~seed ~trials summary);
-        Format.printf "summary written: %s@." path
-      | None -> ());
+      Option.iter
+        (fun path ->
+          write_output path
+            (chaos_summary_json ~workload:workload.Hft_guest.Workload.name
+               ~seed ~trials summary)
+            ~announce:(Format.printf "summary written: %s@."))
+        json;
+      let reproduce what schedule =
+        Format.printf "  %s: hftsim chaos -w %s -e %d -p %a%s %s@." what
+          workload.Hft_guest.Workload.name params.Params.epoch_length
+          Params.pp_protocol params.Params.protocol
+          (if no_retransmit then " --no-retransmit" else "")
+          (Campaign.flags schedule)
+      in
       List.iter
         (fun ((t : Campaign.trial), shrunk) ->
           Format.printf "@.trial %d FAILED:@." t.Campaign.index;
           List.iter
             (fun v -> Format.printf "  violation: %s@." v)
             t.Campaign.violations;
-          Format.printf "  reproduce: hftsim chaos -w %s -e %d -p %a%s %s@."
-            workload.Hft_guest.Workload.name epoch Params.pp_protocol protocol
-            (if no_retransmit then " --no-retransmit" else "")
-            (Campaign.flags t.Campaign.schedule);
-          if shrunk <> t.Campaign.schedule then
-            Format.printf "  shrunk to: hftsim chaos -w %s -e %d -p %a%s %s@."
-              workload.Hft_guest.Workload.name epoch Params.pp_protocol
-              protocol
-              (if no_retransmit then " --no-retransmit" else "")
-              (Campaign.flags shrunk))
+          reproduce "reproduce" t.Campaign.schedule;
+          if shrunk <> t.Campaign.schedule then reproduce "shrunk to" shrunk)
         summary.Campaign.failures;
       if nfail = 0 then `Ok () else `Error (false, "invariant violations")
     end
@@ -923,12 +941,11 @@ let chaos_cmd =
   in
   let term =
     Term.(
-      ret
-        (const action $ workload_arg $ epoch_arg $ protocol_arg $ link_arg
-       $ backend_arg $ seed_arg $ trials_arg $ loss_arg $ dup_arg
-       $ corrupt_arg $ delay_arg $ no_retransmit $ exact $ crash_epoch
-       $ backup_crash_epoch $ reintegrate $ no_shrink $ hv_faults_flag
-       $ hv_fault_specs $ json_arg $ trace_out_arg))
+      const action $ workload_arg
+      $ params_term ~epoch:true ~backend:true ()
+      $ seed_arg $ trials_arg $ loss_arg $ dup_arg $ corrupt_arg $ delay_arg
+      $ no_retransmit $ exact $ crash_epoch $ backup_crash_epoch $ reintegrate
+      $ no_shrink $ hv_faults_flag $ hv_fault_specs $ json_arg $ trace_out_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -938,105 +955,7 @@ let chaos_cmd =
           hypervisor faults healed by microreboot, with per-trial invariant \
           checking against the bare machine and shrinking of failing \
           schedules.")
-    term
-
-(* ---------- selftest ---------- *)
-
-(* A compact conformance matrix: every workload is run replicated with
-   lockstep checking, across protocol and epoch-mechanism variants and
-   a failover scenario.  Small sizes: the whole matrix takes seconds
-   and is the first thing to run on a new machine. *)
-let selftest_cmd =
-  let action () =
-    let failures = ref 0 in
-    let case name f =
-      let ok, detail = try f () with e -> (false, Printexc.to_string e) in
-      if not ok then incr failures;
-      Format.printf "%-58s %s%s@." name
-        (if ok then "PASS" else "FAIL")
-        (if detail = "" then "" else " (" ^ detail ^ ")")
-    in
-    let base = { Params.default with Params.epoch_length = 512 } in
-    let lockstep_case name ?(params = base) ?crash_ms w =
-      case name (fun () ->
-          let sys = System.create ~params ~lockstep:true ~workload:w () in
-          (match crash_ms with
-          | Some ms -> System.crash_primary_at sys (Hft_sim.Time.of_ms ms)
-          | None -> ());
-          let o = System.run sys in
-          let ok =
-            o.System.lockstep_mismatches = []
-            && o.System.disk_consistent
-            && (crash_ms = None || o.System.failover)
-          in
-          ( ok,
-            if ok then ""
-            else
-              Printf.sprintf "%d diverged, consistent=%b"
-                (List.length o.System.lockstep_mismatches)
-                o.System.disk_consistent ))
-    in
-    let open Hft_guest.Workload in
-    lockstep_case "cpu / original / recovery register"
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / revised protocol"
-      ~params:(Params.with_protocol base Params.Revised)
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / code rewriting"
-      ~params:{ base with Params.epoch_mechanism = Params.Code_rewriting }
-      (dhrystone ~iterations:2000);
-    lockstep_case "cpu / ATM link"
-      ~params:(Params.with_link base Hft_net.Link.atm)
-      (dhrystone ~iterations:2000);
-    lockstep_case "disk writes" (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "disk reads" (disk_read ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "queued io" (queued_io ~pairs:2);
-    lockstep_case "clock forwarding" (clock_sampler ~samples:100);
-    lockstep_case "timer ticks" (timer_tick ~period_us:400 ~ticks:4);
-    lockstep_case "timer-paced server" (server ~requests:3 ~period_us:2000);
-    lockstep_case "failover mid-write" ~crash_ms:20
-      (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    lockstep_case "failover / revised protocol" ~crash_ms:20
-      ~params:(Params.with_protocol base Params.Revised)
-      (disk_write ~ops:3 ~pad:20 ~spin:20 ());
-    case "reintegration after failover" (fun () ->
-        let w = dhrystone ~iterations:40_000 in
-        let sys = System.create ~params:base ~lockstep:true ~workload:w () in
-        System.crash_primary_at sys (Hft_sim.Time.of_ms 5);
-        System.reintegrate_after_failover sys ~delay:(Hft_sim.Time.of_ms 5);
-        let o = System.run sys in
-        ( o.System.lockstep_mismatches = []
-          && o.System.results.Guest_results.ops = 40_000,
-          "" ));
-    case "backup chain (t = 2), double failure" (fun () ->
-        let w = disk_write ~ops:3 ~pad:20 ~spin:20 () in
-        let sys = System.create ~params:base ~second_backup:true ~workload:w () in
-        System.crash_primary_at sys (Hft_sim.Time.of_ms 20);
-        ignore
-          (Hft_sim.Engine.at (System.engine sys) (Hft_sim.Time.of_ms 250)
-             (fun () -> Hypervisor.crash (System.backup sys)));
-        let o = System.run sys in
-        ( o.System.results.Guest_results.ops = 3 && o.System.disk_consistent,
-          "" ));
-    case "probe quirk (section 3.1)" (fun () ->
-        let sys = System.create ~params:base ~workload:probe_priv () in
-        let o = System.run sys in
-        (o.System.results.Guest_results.scratch = 1, ""));
-    Format.printf "@.";
-    if !failures = 0 then begin
-      Format.printf "selftest: all conformance cases passed@.";
-      `Ok ()
-    end
-    else begin
-      Format.printf "selftest: %d case(s) FAILED@." !failures;
-      `Error (false, "selftest failed")
-    end
-  in
-  Cmd.v
-    (Cmd.info "selftest"
-       ~doc:
-         "Run the conformance matrix: every workload replicated with           lockstep checking, protocol/mechanism variants, failover and           reintegration.")
-    Term.(ret (const action $ const ()))
+    (term_of_action term)
 
 (* ---------- profiling drivers (shared by profile and lint) ---------- *)
 
@@ -1090,6 +1009,13 @@ let symbolizer (workload : Hft_guest.Workload.t) =
   Hft_analysis.Symtab.resolve
     (Hft_analysis.Symtab.of_program workload.Hft_guest.Workload.program)
 
+(* [--rewrite EL]: the image after object-code editing with that epoch
+   length, and whether the result counts as rewritten. *)
+let rewrite_opt rewrite_el ~rewritten program =
+  match rewrite_el with
+  | Some el -> (Hft_machine.Rewrite.rewrite_program ~every:el program, true)
+  | None -> (program, rewritten)
+
 (* ---------- lint ---------- *)
 
 (* [--image FILE] is loaded before anything runs: a truncated or
@@ -1105,12 +1031,7 @@ let with_image image k =
       `Error (false, Printf.sprintf "%s: %s" path m))
 
 let lint_cmd =
-  let all_names =
-    [
-      "cpu"; "write"; "read"; "mixed"; "clock"; "timer"; "hello"; "probe";
-      "masked"; "queued"; "server";
-    ]
-  in
+  let esc = Obs.Json.escape in
   let all_arg =
     Arg.(
       value & flag
@@ -1204,13 +1125,7 @@ let lint_cmd =
              baseline: exit non-zero if any image in both sets lost \
              certified blocks, certified superblocks, or static coverage.")
   in
-  let lint_one ~quiet ~title ~rewritten ~rewrite_el ~data_init ?embedded ?drive
-      program =
-    let program, rewritten =
-      match rewrite_el with
-      | Some el -> (Hft_machine.Rewrite.rewrite_program ~every:el program, true)
-      | None -> (program, rewritten)
-    in
+  let lint_one ~quiet ~title ~rewritten ~data_init ?embedded ?drive program =
     let fs = Hft_analysis.Analysis.check ~rewritten ~data_init program in
     if not quiet then Hft_harness.Report.findings ~title fs;
     let manifest = Hft_analysis.Manifest.of_program ~rewritten program in
@@ -1230,16 +1145,6 @@ let lint_cmd =
   in
   let lint_json runs =
     let b = Buffer.create 1024 in
-    let esc s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\""
-             | '\\' -> "\\\\"
-             | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
     let manifest_summary (m : Hft_analysis.Manifest.t) =
       Printf.sprintf
         "{\"image_hash\": \"0x%x\", \"instructions\": %d, \"blocks\": %d, \
@@ -1268,21 +1173,20 @@ let lint_cmd =
     List.iteri
       (fun i (title, fs, manifest, _, _) ->
         if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf "\n    {\"title\": \"%s\", \"findings\": [" (esc title));
+        Printf.bprintf b "\n    {\"title\": \"%s\", \"findings\": ["
+          (esc title);
         List.iteri
           (fun j f ->
             if j > 0 then Buffer.add_string b ",";
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\n      {\"checker\": \"%s\", \"severity\": \"%s\", \
-                  \"addr\": %d, \"where\": \"%s\", \"message\": \"%s\"}"
-                 (esc f.Hft_analysis.Finding.checker)
-                 (Hft_analysis.Finding.severity_name
-                    f.Hft_analysis.Finding.severity)
-                 f.Hft_analysis.Finding.addr
-                 (esc f.Hft_analysis.Finding.where)
-                 (esc f.Hft_analysis.Finding.message)))
+            Printf.bprintf b
+              "\n      {\"checker\": \"%s\", \"severity\": \"%s\", \
+               \"addr\": %d, \"where\": \"%s\", \"message\": \"%s\"}"
+              (esc f.Hft_analysis.Finding.checker)
+              (Hft_analysis.Finding.severity_name
+                 f.Hft_analysis.Finding.severity)
+              f.Hft_analysis.Finding.addr
+              (esc f.Hft_analysis.Finding.where)
+              (esc f.Hft_analysis.Finding.message))
           fs;
         if fs <> [] then Buffer.add_string b "\n    ";
         Buffer.add_string b "],\n     \"manifest\": ";
@@ -1293,10 +1197,9 @@ let lint_cmd =
     let all = List.concat_map (fun (_, fs, _, _, _) -> fs) runs in
     let errors = List.length (Hft_analysis.Finding.errors all) in
     let warnings = List.length (Hft_analysis.Finding.warnings all) in
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"summary\": {\"errors\": %d, \"warnings\": %d, \"findings\": %d}\n}\n"
-         errors warnings (List.length all));
+    Printf.bprintf b
+      "  \"summary\": {\"errors\": %d, \"warnings\": %d, \"findings\": %d}\n}\n"
+      errors warnings (List.length all);
     Buffer.contents b
   in
   (* SARIF 2.1.0: one run, one result per finding.  Guest images have
@@ -1305,16 +1208,6 @@ let lint_cmd =
      1-based). *)
   let sarif_json runs =
     let b = Buffer.create 2048 in
-    let esc s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\""
-             | '\\' -> "\\\\"
-             | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
     let level f =
       match f.Hft_analysis.Finding.severity with
       | Hft_analysis.Finding.Error -> "error"
@@ -1341,11 +1234,10 @@ let lint_cmd =
     List.iteri
       (fun i r ->
         if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf
-             "\n         {\"id\": \"%s\", \"shortDescription\": {\"text\": \
-              \"%s checker\"}}"
-             (esc r) (esc r)))
+        Printf.bprintf b
+          "\n         {\"id\": \"%s\", \"shortDescription\": {\"text\": \
+           \"%s checker\"}}"
+          (esc r) (esc r))
       rules;
     Buffer.add_string b "\n       ]}},\n     \"results\": [";
     let first = ref true in
@@ -1355,20 +1247,19 @@ let lint_cmd =
           (fun f ->
             if not !first then Buffer.add_string b ",";
             first := false;
-            Buffer.add_string b
-              (Printf.sprintf
-                 "\n\
-                 \       {\"ruleId\": \"%s\", \"level\": \"%s\",\n\
-                 \        \"message\": {\"text\": \"%s [%s]\"},\n\
-                 \        \"locations\": [{\"physicalLocation\": \
-                  {\"artifactLocation\": {\"uri\": \"%s\"}, \"region\": \
-                  {\"startLine\": %d}}}]}"
-                 (esc f.Hft_analysis.Finding.checker)
-                 (level f)
-                 (esc f.Hft_analysis.Finding.message)
-                 (esc f.Hft_analysis.Finding.where)
-                 (esc title)
-                 (f.Hft_analysis.Finding.addr + 1)))
+            Printf.bprintf b
+              "\n\
+              \       {\"ruleId\": \"%s\", \"level\": \"%s\",\n\
+              \        \"message\": {\"text\": \"%s [%s]\"},\n\
+              \        \"locations\": [{\"physicalLocation\": \
+               {\"artifactLocation\": {\"uri\": \"%s\"}, \"region\": \
+               {\"startLine\": %d}}}]}"
+              (esc f.Hft_analysis.Finding.checker)
+              (level f)
+              (esc f.Hft_analysis.Finding.message)
+              (esc f.Hft_analysis.Finding.where)
+              (esc title)
+              (f.Hft_analysis.Finding.addr + 1))
           fs)
       runs;
     Buffer.add_string b "\n     ]}\n  ]\n}\n";
@@ -1379,13 +1270,9 @@ let lint_cmd =
      extend the baseline); a disappeared image is a regression. *)
   let baseline_regressions ~path runs =
     let module M = Hft_analysis.Manifest in
-    let ic = open_in path in
-    let doc =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> In_channel.input_all ic)
-    in
-    match M.set_of_string doc with
+    match
+      M.set_of_string (In_channel.with_open_text path In_channel.input_all)
+    with
     | Error e -> [ Printf.sprintf "baseline %s: parse error: %s" path e ]
     | Ok baseline ->
       List.concat_map
@@ -1434,63 +1321,59 @@ let lint_cmd =
     List.iteri
       (fun i (title, _, m, _, _) ->
         if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b
-          (Printf.sprintf "\n    {\"title\": %S,\n     \"manifest\": %s}"
-             title
-             (Hft_analysis.Manifest.to_json m)))
+        Printf.bprintf b
+          "\n    {\"title\": \"%s\",\n     \"manifest\": %s}" (esc title)
+          (Hft_analysis.Manifest.to_json m))
       runs;
     Buffer.add_string b "\n  ]\n}\n";
     Buffer.contents b
   in
   let action workload all image rewrite_el rewritten strict json sarif
-      manifest manifest_out manifest_baseline =
+      manifest manifest_out manifest_baseline () =
     with_image image @@ fun image ->
     let quiet = json = Some "-" || sarif = Some "-" in
     let runs =
       if all then
+        (* each workload as assembled, and as a code-rewriting run at
+           the default epoch length executes it *)
+        let rewriting =
+          { Params.default with Params.epoch_mechanism = Params.Code_rewriting }
+        in
         List.concat_map
-          (fun name ->
-            match workload_of_string name with
-            | Error (`Msg m) -> failwith m
-            | Ok w ->
-              let data_init =
-                List.map fst w.Hft_guest.Workload.config
-              in
-              let el = Params.default.Params.epoch_length in
-              let plain =
-                lint_one ~quiet ~title:(name ^ " (as assembled)")
-                  ~rewritten:false ~rewrite_el:None ~data_init ~drive:w
-                  w.Hft_guest.Workload.program
-              in
-              let rewritten =
-                lint_one ~quiet
-                  ~title:(Printf.sprintf "%s (rewritten, EL=%d)" name el)
-                  ~rewritten:false ~rewrite_el:(Some el) ~data_init
-                  w.Hft_guest.Workload.program
-              in
-              [ plain; rewritten ])
-          all_names
+          (fun (name, w) ->
+            let data_init = List.map fst w.Hft_guest.Workload.config in
+            let plain =
+              lint_one ~quiet ~title:(name ^ " (as assembled)")
+                ~rewritten:false ~data_init ~drive:w
+                w.Hft_guest.Workload.program
+            in
+            let rewritten =
+              lint_one ~quiet
+                ~title:
+                  (Printf.sprintf "%s (rewritten, EL=%d)" name
+                     rewriting.Params.epoch_length)
+                ~rewritten:true ~data_init
+                (System.executed_program ~params:rewriting w)
+            in
+            [ plain; rewritten ])
+          workloads
       else
-        match image with
-        | Some (path, (program, embedded)) ->
-          [
-            lint_one ~quiet ~title:path ~rewritten ~rewrite_el ~data_init:[]
-              ?embedded
-              ?drive:
-                (if rewritten || rewrite_el <> None then None
-                 else Some (workload_of_program ~name:path program))
-              program;
-          ]
-        | None ->
-          [
-            lint_one ~quiet ~title:workload.Hft_guest.Workload.name ~rewritten
-              ~rewrite_el
-              ~data_init:(List.map fst workload.Hft_guest.Workload.config)
-              ?drive:
-                (if rewritten || rewrite_el <> None then None
-                 else Some workload)
-              workload.Hft_guest.Workload.program;
-          ]
+        let w, embedded =
+          match image with
+          | Some (path, (program, embedded)) ->
+            (workload_of_program ~name:path program, embedded)
+          | None -> (workload, None)
+        in
+        let program, rewritten =
+          rewrite_opt rewrite_el ~rewritten w.Hft_guest.Workload.program
+        in
+        [
+          lint_one ~quiet ~title:w.Hft_guest.Workload.name ~rewritten
+            ~data_init:(List.map fst w.Hft_guest.Workload.config)
+            ?embedded
+            ?drive:(if rewritten then None else Some w)
+            program;
+        ]
     in
     if manifest && not quiet then
       List.iter
@@ -1521,45 +1404,25 @@ let lint_cmd =
           | Some w -> (
             let params = Params.default in
             let cpu, _halted = driven_bare ~params ~fuel:10_000_000 w in
-            match
-              Hft_analysis.Slack.of_cpu
-                (Hypervisor.manifest ~params ~workload:w)
-                ~symbol:(symbolizer w) cpu
-            with
-            | Some slack -> Hft_harness.Report.wcet_slack slack
-            | None -> ()))
+            Option.iter Hft_harness.Report.wcet_slack
+              (Hft_analysis.Slack.of_cpu
+                 (Hypervisor.manifest ~params ~workload:w)
+                 ~symbol:(symbolizer w) cpu)))
         runs;
-    (match sarif with
-    | Some "-" -> print_string (sarif_json runs)
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (sarif_json runs);
-      close_out oc;
-      Format.printf "wrote %s@." path
-    | None -> ());
-    (match json with
-    | Some "-" -> print_string (lint_json runs)
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (lint_json runs);
-      close_out oc;
-      Format.printf "wrote %s@." path
-    | None -> ());
-    (match manifest_out with
-    | None -> ()
-    | Some path ->
-      let doc =
-        match runs with
-        | [ (_, _, m, _, _) ] -> Hft_analysis.Manifest.to_json m ^ "\n"
-        | _ -> manifest_set_json runs
-      in
-      if path = "-" then print_string doc
-      else begin
-        let oc = open_out path in
-        output_string oc doc;
-        close_out oc;
-        if not quiet then Format.printf "wrote %s@." path
-      end);
+    Option.iter
+      (fun path -> write_output path (sarif_json runs) ~announce:wrote)
+      sarif;
+    Option.iter
+      (fun path -> write_output path (lint_json runs) ~announce:wrote)
+      json;
+    Option.iter
+      (fun path ->
+        write_output path
+          (match runs with
+          | [ (_, _, m, _, _) ] -> Hft_analysis.Manifest.to_json m ^ "\n"
+          | _ -> manifest_set_json runs)
+          ~announce:(fun path -> if not quiet then wrote path))
+      manifest_out;
     let regressions =
       match manifest_baseline with
       | None -> []
@@ -1597,10 +1460,9 @@ let lint_cmd =
   in
   let term =
     Term.(
-      ret
-        (const action $ workload_arg $ all_arg $ image_arg $ rewrite_el
-       $ rewritten_arg $ strict_arg $ json_arg $ sarif_arg $ manifest_arg
-       $ manifest_out_arg $ manifest_baseline_arg))
+      const action $ workload_arg $ all_arg $ image_arg $ rewrite_el
+      $ rewritten_arg $ strict_arg $ json_arg $ sarif_arg $ manifest_arg
+      $ manifest_out_arg $ manifest_baseline_arg)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1616,7 +1478,7 @@ let lint_cmd =
           Exits non-zero if any error-severity finding is reported, an \
           embedded manifest is stale, or certification regressed against \
           the baseline.")
-    term
+    (term_of_action term)
 
 (* ---------- check ---------- *)
 
@@ -1772,7 +1634,7 @@ let check_cmd =
   in
   let action scenario all list_scenarios depth max_states json replay
       save_replay no_dpor no_fp compare_naive no_retransmit no_ack_wait
-      max_violations no_shrink trace_out backend =
+      max_violations no_shrink trace_out backend () =
     if list_scenarios then begin
       List.iter
         (fun sc ->
@@ -1792,10 +1654,7 @@ let check_cmd =
             (String.concat " "
                (List.map string_of_int sched.Hft_check.Schedule.roots))
             (List.length sched.Hft_check.Schedule.choices);
-          let obs =
-            if trace_out <> None then Obs.Recorder.create ()
-            else Obs.Recorder.null
-          in
+          let obs = trace_recorder trace_out in
           let finish r =
             emit_artifacts ~trace_out obs;
             r
@@ -1809,18 +1668,15 @@ let check_cmd =
             finish
               (`Error (false, "schedule no longer produces a violation"))))
       | None -> (
-        let scenarios =
-          if all then Ok Hft_harness.Scenarios.all
+        match
+          if all then Some Hft_harness.Scenarios.all
           else
-            match Hft_harness.Scenarios.find scenario with
-            | Some sc -> Ok [ sc ]
-            | None ->
-              Error
-                (Printf.sprintf "unknown scenario %S (try --list)" scenario)
-        in
-        match scenarios with
-        | Error m -> `Error (false, m)
-        | Ok scenarios ->
+            Option.map (fun sc -> [ sc ]) (Hft_harness.Scenarios.find scenario)
+        with
+        | None ->
+          `Error
+            (false, Printf.sprintf "unknown scenario %S (try --list)" scenario)
+        | Some scenarios ->
           let scenarios =
             List.map
               (fun sc ->
@@ -1875,25 +1731,18 @@ let check_cmd =
               scenarios
           in
           if not quiet then List.iter (fun (r, n) -> print_report r n) reports;
-          let json_text () =
-            match reports with
-            | [ (r, naive) ] -> Hft_check.Checker.to_json ?naive r
-            | _ ->
-              "[\n"
-              ^ String.concat ",\n"
-                  (List.map
-                     (fun (r, naive) -> Hft_check.Checker.to_json ?naive r)
-                     reports)
-              ^ "]\n"
-          in
-          (match json with
-          | Some "-" -> print_string (json_text ())
-          | Some path ->
-            let oc = open_out path in
-            output_string oc (json_text ());
-            close_out oc;
-            Format.printf "wrote %s@." path
-          | None -> ());
+          Option.iter
+            (fun path ->
+              let docs =
+                List.map
+                  (fun (r, naive) -> Hft_check.Checker.to_json ?naive r)
+                  reports
+              in
+              write_output path ~announce:wrote
+                (match docs with
+                | [ doc ] -> doc
+                | _ -> "[\n" ^ String.concat ",\n" docs ^ "]\n"))
+            json;
           let first_violation =
             List.find_map
               (fun (r, _) ->
@@ -1904,10 +1753,10 @@ let check_cmd =
           in
           (match (save_replay, first_violation) with
           | Some path, Some (r, v) ->
-            Hft_check.Schedule.save
-              (Hft_check.Checker.schedule_of_violation r v)
-              path;
-            Format.printf "counterexample written to %s@." path
+            write_output path
+              (Hft_check.Schedule.to_string
+                 (Hft_check.Checker.schedule_of_violation r v))
+              ~announce:(Format.printf "counterexample written to %s@.")
           | Some path, None ->
             Format.printf "no counterexample to write to %s@." path
           | None, _ -> ());
@@ -1932,13 +1781,13 @@ let check_cmd =
           and canonical state fingerprints.  Invariants (P1-P7 \
           consequences) are checked between every two events; violations \
           are shrunk and serialized as replayable schedules.")
-    Term.(
-      ret
-        (const action $ scenario_arg $ all_arg $ list_arg $ depth_arg
-       $ max_states_arg $ json_arg $ replay_arg $ save_replay_arg
-       $ no_dpor_arg $ no_fp_arg $ compare_naive_arg $ no_retransmit_arg
-       $ no_ack_wait_arg $ max_violations_arg $ no_shrink_arg
-       $ trace_out_arg $ backend_arg))
+    (term_of_action
+       Term.(
+         const action $ scenario_arg $ all_arg $ list_arg $ depth_arg
+         $ max_states_arg $ json_arg $ replay_arg $ save_replay_arg
+         $ no_dpor_arg $ no_fp_arg $ compare_naive_arg $ no_retransmit_arg
+         $ no_ack_wait_arg $ max_violations_arg $ no_shrink_arg
+         $ trace_out_arg $ backend_arg))
 
 (* ---------- bench ---------- *)
 
@@ -2011,20 +1860,19 @@ let bench_cmd =
              stay under 5%%).")
   in
   let action json_path quick min_speedup max_overhead min_threaded
-      min_loop_hoist max_metrics_overhead =
+      min_loop_hoist max_metrics_overhead () =
     let b = Hft_harness.Bench_core.run ~quick () in
     Hft_harness.Bench_core.report b;
-    (match json_path with
-    | Some path ->
-      Hft_harness.Bench_core.write_json b path;
-      Format.printf "wrote %s@." path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_output path (Hft_harness.Bench_core.to_json b) ~announce:wrote)
+      json_path;
     let p =
       match Hft_harness.Bench_core.point b 1024 with
       | Some p -> p
       | None -> assert false (* 1024 is always measured *)
     in
-    let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
+    let fail fmt = Format.kasprintf (fun m -> `Error (false, m)) fmt in
     if not b.Hft_harness.Bench_core.digest_match then
       fail
         "threaded and interpreter state digests diverged — the translation \
@@ -2065,7 +1913,7 @@ let bench_cmd =
         ->
         fail "windowed-metrics overhead %.2fx exceeds the %.2fx guard"
           b.Hft_harness.Bench_core.metrics_overhead r
-      | _ -> Ok ()
+      | _ -> `Ok ()
   in
   Cmd.v
     (Cmd.info "bench"
@@ -2075,10 +1923,10 @@ let bench_cmd =
           incremental/full/no lockstep hashing, and snapshot bytes \
           copied.  Unlike the other subcommands, this reports host \
           time, not simulated time.")
-    Term.(
-      term_result'
-        (const action $ json_path $ quick $ min_speedup $ max_overhead
-       $ min_threaded $ min_loop_hoist $ max_metrics_overhead))
+    (term_of_action
+       Term.(
+         const action $ json_path $ quick $ min_speedup $ max_overhead
+         $ min_threaded $ min_loop_hoist $ max_metrics_overhead))
 
 (* ---------- disasm ---------- *)
 
@@ -2117,12 +1965,10 @@ let disasm_cmd =
              entry prechecks, plus the reason any certified superblock \
              was left to the interpreter.")
   in
-  let action workload rewrite_el translated save_path embed_manifest =
-    let program = workload.Hft_guest.Workload.program in
+  let action workload rewrite_el translated save_path embed_manifest () =
     let program, rewritten =
-      match rewrite_el with
-      | Some el -> (Hft_machine.Rewrite.rewrite_program ~every:el program, true)
-      | None -> (program, false)
+      rewrite_opt rewrite_el ~rewritten:false
+        workload.Hft_guest.Workload.program
     in
     Format.printf "%a" Hft_machine.Asm.pp_program program;
     Format.printf "; %d instructions, image hash 0x%x@."
@@ -2145,26 +1991,30 @@ let disasm_cmd =
         | Some tx -> Format.printf "%a" Hft_machine.Translate.pp_listing tx
         | None -> ())
     end;
-    match save_path with
-    | Some path ->
-      let manifest =
-        if embed_manifest then
-          Some
-            (Hft_analysis.Manifest.to_json
-               (Hft_analysis.Manifest.of_program ~rewritten program))
-        else None
-      in
-      Hft_machine.Image.save ?manifest ~path program;
-      Format.printf "; image written to %s%s@." path
-        (if embed_manifest then " (manifest embedded)" else "")
-    | None -> ()
+    Option.iter
+      (fun path ->
+        let manifest =
+          if embed_manifest then
+            Some
+              (Hft_analysis.Manifest.to_json
+                 (Hft_analysis.Manifest.of_program ~rewritten program))
+          else None
+        in
+        write_output path
+          (Hft_machine.Image.to_string ?manifest program)
+          ~announce:(fun path ->
+            Format.printf "; image written to %s%s@." path
+              (if embed_manifest then " (manifest embedded)" else "")))
+      save_path;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "disasm"
        ~doc:"Print a workload's program listing (optionally rewritten).")
-    Term.(
-      const action $ workload_arg $ rewrite_el $ translated_flag $ save_path
-      $ embed_manifest)
+    (term_of_action
+       Term.(
+         const action $ workload_arg $ rewrite_el $ translated_flag $ save_path
+         $ embed_manifest))
 
 (* ---------- profile ---------- *)
 
@@ -2202,7 +2052,7 @@ let profile_cmd =
       & info [ "limit" ] ~docv:"N"
           ~doc:"Instruction fuel per backend run.")
   in
-  let action workload image flame min_coverage limit =
+  let action workload image flame min_coverage limit () =
     with_image image @@ fun image ->
     let workload =
       match image with
@@ -2224,8 +2074,7 @@ let profile_cmd =
         "warning: guest did not halt within %d instructions; profiling the \
          partial run (backend agreement not checked)@."
         limit;
-    let params = Params.default in
-    let m = Hypervisor.manifest ~params ~workload in
+    let m = Hypervisor.manifest ~params:Params.default ~workload in
     let symbol = symbolizer workload in
     let counts cpu =
       match Hft_machine.Cpu.profile cpu with Some p -> p | None -> [||]
@@ -2258,17 +2107,12 @@ let profile_cmd =
       ti tt
       (if agree then "identical per block (exactness contract holds)"
        else "DIVERGED");
-    (match Hft_analysis.Slack.of_cpu m ~symbol ci with
-    | Some slack -> Hft_harness.Report.wcet_slack slack
-    | None -> ());
-    (match flame with
-    | None -> ()
-    | Some "-" -> print_string (Obs.Profile.flamegraph report)
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Obs.Profile.flamegraph report);
-      close_out oc;
-      Format.printf "wrote %s@." path);
+    Option.iter Hft_harness.Report.wcet_slack
+      (Hft_analysis.Slack.of_cpu m ~symbol ci);
+    Option.iter
+      (fun path ->
+        write_output path (Obs.Profile.flamegraph report) ~announce:wrote)
+      flame;
     if halted_i && halted_t && not agree then
       `Error (false, "the two backends disagree on retirement counts")
     else if Obs.Profile.coverage report < min_coverage then
@@ -2289,10 +2133,10 @@ let profile_cmd =
           optionally write collapsed-stack flamegraph text.  Exits non-zero \
           if the backends disagree on per-block retirement counts or \
           attribution coverage falls below $(b,--min-coverage).")
-    Term.(
-      ret
-        (const action $ workload_arg $ image_arg $ flame_arg $ min_coverage_arg
-       $ limit_arg))
+    (term_of_action
+       Term.(
+         const action $ workload_arg $ image_arg $ flame_arg
+         $ min_coverage_arg $ limit_arg))
 
 let () =
   let doc =
@@ -2314,5 +2158,4 @@ let () =
             disasm_cmd;
             profile_cmd;
             bench_cmd;
-            selftest_cmd;
           ]))

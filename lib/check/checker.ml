@@ -630,20 +630,6 @@ let replay ?obs (s : Schedule.t) =
 (* ------------------------------------------------------------------ *)
 (* JSON report ("hftsim-check/1"), hand-rolled like bench_core         *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_int_opt = function None -> "null" | Some i -> string_of_int i
 
 let json_ints l =
@@ -661,8 +647,9 @@ let to_json ?naive (r : result) =
   add "{\n";
   add "  \"schema\": \"hftsim-check/1\",\n";
   add "  \"scenario\": \"%s\",\n"
-    (json_escape r.r_scenario.Scenarios.sc_name);
-  add "  \"descr\": \"%s\",\n" (json_escape r.r_scenario.Scenarios.sc_descr);
+    (Hft_obs.Json.escape r.r_scenario.Scenarios.sc_name);
+  add "  \"descr\": \"%s\",\n"
+    (Hft_obs.Json.escape r.r_scenario.Scenarios.sc_descr);
   add "  \"variant\": {\"retransmit\": %b, \"ack_wait\": %b},\n"
     r.r_variant.Scenarios.retransmit r.r_variant.Scenarios.ack_wait;
   add
@@ -690,7 +677,8 @@ let to_json ?naive (r : result) =
       add
         "\n    {\"reason\": \"%s\", \"roots\": %s, \"choices\": %s, \
          \"shrunk\": %b}"
-        (json_escape v.v_reason) (json_ints v.v_roots) (json_ints v.v_choices)
+        (Hft_obs.Json.escape v.v_reason)
+        (json_ints v.v_roots) (json_ints v.v_choices)
         v.v_shrunk)
     r.r_violations;
   if r.r_violations <> [] then add "\n  ";

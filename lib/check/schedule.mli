@@ -21,5 +21,4 @@ val magic : string
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val save : t -> string -> unit
 val load : string -> (t, string) result

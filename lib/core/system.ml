@@ -35,19 +35,21 @@ let record_boundary ls ~epoch ~hash =
     ls.compared <- ls.compared + 1;
     if other <> hash then ls.mismatches <- epoch :: ls.mismatches
 
+let executed_program ~params (w : Hft_guest.Workload.t) =
+  match params.Params.epoch_mechanism with
+  | Params.Recovery_register -> w.Hft_guest.Workload.program
+  | Params.Code_rewriting ->
+    Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
+      w.Hft_guest.Workload.program
+
 let create ?(params = Params.default) ?(disk_seed = 42) ?tlb_seeds
     ?(lockstep = true) ?(init_disk = true) ?(second_backup = false)
     ?(obs = Hft_obs.Recorder.null) ~workload () =
   let workload =
-    match params.Params.epoch_mechanism with
-    | Params.Recovery_register -> workload
-    | Params.Code_rewriting ->
-      {
-        workload with
-        Hft_guest.Workload.program =
-          Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
-            workload.Hft_guest.Workload.program;
-      }
+    {
+      workload with
+      Hft_guest.Workload.program = executed_program ~params workload;
+    }
   in
   let engine = Engine.create () in
   (* scheduler dispatches are high-volume; only feed them to the

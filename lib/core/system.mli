@@ -15,6 +15,12 @@
 
 type t
 
+val executed_program :
+  params:Params.t -> Hft_guest.Workload.t -> Hft_machine.Asm.program
+(** The image a run under [params] executes: the workload's program as
+    assembled, or — under [Code_rewriting] — after object-code editing
+    with the configured epoch length ({!Hft_machine.Rewrite}). *)
+
 val create :
   ?params:Params.t ->
   ?disk_seed:int ->

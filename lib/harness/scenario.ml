@@ -15,33 +15,19 @@ let bare_time ?(params = Params.default) workload =
   let o = Bare.run b in
   o.Bare.time
 
-(* The image a run will actually execute: under code rewriting,
-   System.create rewrites with the configured epoch length. *)
+(* Static analysis of the image the run will actually execute. *)
 let lint ~params (w : Hft_guest.Workload.t) =
-  let rewritten = params.Params.epoch_mechanism = Params.Code_rewriting in
-  let program =
-    if rewritten then
-      Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
-        w.Hft_guest.Workload.program
-    else w.Hft_guest.Workload.program
-  in
-  Hft_analysis.Analysis.check ~rewritten
+  Hft_analysis.Analysis.check
+    ~rewritten:(params.Params.epoch_mechanism = Params.Code_rewriting)
     ~data_init:(List.map fst w.Hft_guest.Workload.config)
-    program
-
-(* The image a run will actually execute (see [lint] above). *)
-let executed_program ~params (w : Hft_guest.Workload.t) =
-  if params.Params.epoch_mechanism = Params.Code_rewriting then
-    Hft_machine.Rewrite.rewrite_program ~every:params.Params.epoch_length
-      w.Hft_guest.Workload.program
-  else w.Hft_guest.Workload.program
+    (System.executed_program ~params w)
 
 let replicated ?(lockstep = false) ?(lint_gate = true) ?manifest ?obs ~params
     workload =
   (match manifest with
   | None -> ()
   | Some m -> (
-    let program = executed_program ~params workload in
+    let program = System.executed_program ~params workload in
     match
       Hft_analysis.Manifest.validate ~code:program.Hft_machine.Asm.code m
     with

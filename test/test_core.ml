@@ -360,6 +360,17 @@ let protocol_variant_tests =
         in
         check bool "atm faster" true
           Hft_sim.Time.(o_atm.System.time < o_eth.System.time));
+    test_case "cpu lockstep under the revised protocol and the atm link"
+      `Quick (fun () ->
+        let w = Workload.dhrystone ~iterations:2000 in
+        let _, o_rev =
+          run_sys ~params:(Params.with_protocol small_params Params.Revised) w
+        in
+        check_lockstep "revised" o_rev;
+        let _, o_atm =
+          run_sys ~params:(Params.with_link small_params Hft_net.Link.atm) w
+        in
+        check_lockstep "atm" o_atm);
   ]
 
 let epoch_length_tests =
